@@ -119,33 +119,15 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         store_points=True,
     )
     # two timed repeats, report the min (this sandbox VM has 30-40%
-    # run-to-run noise; min is the standard de-noised estimator).
-    # SCALE_EXCHANGE=streaming swaps in the actor-based streaming hash
-    # exchange (stages/streaming_exchange.py) — measured faster at <=8
-    # cpus (no sort constant, reducer ingestion overlaps the map wave)
-    # and slower at 32 (actor fan-out ~ cpus^2 messages); bit-identical
-    # output either way. See BASELINE.md round-5 exchange A/B.
-    use_streaming = os.environ.get("SCALE_EXCHANGE") == "streaming"
-    if use_streaming:
-        from light_curve_feature_ray.pipelines.rollup import (
-            rollup_dataset_streaming,
-        )
+    # run-to-run noise; min is the standard de-noised estimator)
     headline = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
-        if use_streaming:
-            out = rollup_dataset_streaming(
-                read_transcripts(path, num_blocks=num_blocks),
-                cfg,
-                num_reducers=num_cpus,
-                hot_list=hot_list,
-            )
-        else:
-            out = rollup_dataset(
-                read_transcripts(path, num_blocks=num_blocks),
-                cfg,
-                hot_list=hot_list,
-            )
+        out = rollup_dataset(
+            read_transcripts(path, num_blocks=num_blocks),
+            cfg,
+            hot_list=hot_list,
+        )
         rows = out.count()
         headline = min(headline, time.perf_counter() - t0)
     timings["rollup_full"] = round(headline, 3)
@@ -993,12 +975,6 @@ def main():
         n_lo = int(os.environ.get("SCALE_N", "2"))
         n_hi = 4 * n_lo
         repeats = int(os.environ.get("SCALE_REPEATS", "3"))
-        # the scaling legs run 2-16 cpus, where the actor-based
-        # streaming exchange is the engine's measured-best config
-        # (sized-to-parallelism routing; BASELINE.md round-5 A/B:
-        # 1.23x at 8 cpus, neutral at 2, crossover by 32). Override
-        # with SCALE_EXCHANGE=sort; output is bit-identical either way.
-        os.environ.setdefault("SCALE_EXCHANGE", "streaming")
         # alternate legs and take per-leg minima: this sandbox VM drifts
         # 2-4x BETWEEN processes (page-cache / plasma / reclaim state), so
         # a single pair of runs measures machine state, not scaling
@@ -1024,7 +1000,6 @@ def main():
             "turns_per_sec_lo": lo["turns_per_sec"],
             "turns_per_sec_hi": hi["turns_per_sec"],
             "sf": lo["sf"],
-            "exchange": os.environ.get("SCALE_EXCHANGE", "sort"),
             **ceiling,
         }
         if ceiling["kernel_ceiling_eff"] > 0:

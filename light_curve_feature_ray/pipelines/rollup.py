@@ -1,16 +1,23 @@
 """End-to-end rollup pipelines over ray.data Datasets.
 
-``rollup_dataset`` is the pure transformation (Dataset in, tier-row Dataset
-out, streaming, one shuffle); ``run_rollup_job`` (state/checkpoint.py) adds
-resumable per-partition parquet output with lineage manifests.
+``rollup_dataset`` is the one production path: derive (``DeriveAssign``)
+→ pack (``pack_derived``) → ONE ``groupby("part")`` exchange →
+:class:`RollupWorker` per partition, streaming, lazy. Its ``sink`` hook
+hands each partition's tier rows to a writer inside the reduce task:
+``run_rollup_job`` (state/checkpoint.py) is this pipeline at sized read
+blocks plus the job's bookkeeping (lineage, resume filter, recorded hot
+set) and the shared partition writer. ``rollup_table`` is the in-process
+reference (no Ray) that the parity tests compare against.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
@@ -26,11 +33,16 @@ from ..stages.rollup import (
 
 INPUT_COLUMNS = ["conv_id", "turn_idx", "text", "ts"]
 
-# per-worker-process caches: state survives across tasks in the same Ray
-# worker process, amortizing suite construction / FFT scratch exactly like
-# an actor would (actor-pool execution is available via worker_concurrency)
+# Per-worker-process caches: a RollupWorker (suite construction, FFT
+# scratch) and the broadcast hot set survive across tasks in the same Ray
+# worker process. Keys are content, not object refs — the config dict and
+# a digest of the sorted hot set — so repeated runs with the same hot set
+# share one entry. The helpers that touch them are module-level so that a
+# pickled task closure reaches the worker's module dicts, not copies.
 _WORKER_CACHE: dict = {}
 _HOT_CACHE: dict = {}
+#: entries kept per cache and process; the oldest is evicted first
+_CACHE_MAX = 8
 
 
 def read_transcripts(
@@ -40,9 +52,10 @@ def read_transcripts(
 ):
     """Prune at the read: the rollup needs only 4 of the 6 input columns.
 
-    ``num_blocks`` caps the block count — Ray otherwise targets ~200 blocks,
-    and shuffle scheduling cost scales with blocks x reduce partitions;
-    a few blocks per CPU is the sweet spot for this pipeline."""
+    ``num_blocks`` sets the block count — Ray otherwise makes one or more
+    blocks per file, and the exchange's cost grows with blocks x reduce
+    partitions; ``stages.rollup.auto_num_blocks`` is the library's rule
+    (4 per CPU, more only for very large inputs)."""
     columns = INPUT_COLUMNS if for_rollup else None
     kwargs = {}
     if num_blocks is not None:
@@ -50,77 +63,95 @@ def read_transcripts(
     return rd.read_parquet(path, columns=columns, **kwargs)
 
 
-def _derive_fn(config: RollupConfig, hot_ref):
+def _cache_put(cache: dict, key: str, value):
+    if len(cache) >= _CACHE_MAX:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+    return value
+
+
+def _broadcast_hot(hot_list) -> tuple[str, object] | None:
+    """(content digest, object ref) of the sorted hot set, or None."""
+    if not hot_list:
+        return None
+    hot = sorted(hot_list)
+    key = hashlib.blake2b(json.dumps(hot).encode(), digest_size=16).hexdigest()
+    return key, ray.put(hot)
+
+
+def _resolve_hot(hot) -> list | None:
+    if hot is None:
+        return None
+    key, ref = hot
+    got = _HOT_CACHE.get(key)
+    return got if got is not None else _cache_put(_HOT_CACHE, key, ray.get(ref))
+
+
+def _cached_worker(key: str, config: RollupConfig, hot) -> RollupWorker:
+    worker = _WORKER_CACHE.get(key)
+    if worker is None:
+        worker = RollupWorker(config, hot_list=_resolve_hot(hot))
+        _cache_put(_WORKER_CACHE, key, worker)
+    return worker
+
+
+def _derive_fn(config: RollupConfig, hot):
     def fn(batch: pa.Table) -> pa.Table:
-        if hot_ref is None:
-            hot = None
-        else:
-            key = hot_ref.hex()
-            if key not in _HOT_CACHE:
-                _HOT_CACHE[key] = ray.get(hot_ref)
-            hot = _HOT_CACHE[key]
-        return DeriveAssign(config, hot_list=hot)(batch)
+        return DeriveAssign(config, hot_list=_resolve_hot(hot))(batch)
 
     return fn
 
 
-def _worker_fn(config: RollupConfig, hot_ref=None, packed: bool = False):
-    cfg_key = json.dumps(config.to_dict(), sort_keys=True)
-    if hot_ref is not None:
-        cfg_key += ":" + hot_ref.hex()
+def _worker_fn(config: RollupConfig, hot, sink):
+    key = json.dumps(config.to_dict(), sort_keys=True) + ":" + (hot[0] if hot else "")
 
     def fn(batch: pa.Table) -> pa.Table:
-        worker = _WORKER_CACHE.get(cfg_key)
-        if worker is None:
-            hot = None
-            if hot_ref is not None:
-                key = hot_ref.hex()
-                if key not in _HOT_CACHE:
-                    _HOT_CACHE[key] = ray.get(hot_ref)
-                hot = _HOT_CACHE[key]
-            worker = RollupWorker(config, hot_list=hot)
-            _WORKER_CACHE[cfg_key] = worker
-        if packed:
-            batch = unpack_packed(batch)
-        return worker(batch)
+        worker = _cached_worker(key, config, hot)
+        out = worker(unpack_packed(batch))
+        if sink is None:
+            return out
+        part = int(batch["part"][0].as_py()) if batch.num_rows else -1
+        return sink(out, part, worker.last_stats)
 
     return fn
 
 
-class _PackedRollupWorker(RollupWorker):
-    """Actor-pool variant of :class:`RollupWorker` for the packed
-    exchange: unpack the list-packed partition group, then the unchanged
-    worker."""
+def drop_parts(ds, parts: Iterable[int]):
+    """Drop rows whose ``part`` is in ``parts`` (a resume filter: applied
+    before the exchange, so finished partitions cost no shuffle)."""
+    done = pa.array(sorted(parts), type=pa.int32())
 
-    def __call__(self, batch: pa.Table) -> pa.Table:  # noqa: D102
-        return super().__call__(unpack_packed(batch))
+    def fn(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.invert(pc.is_in(batch["part"], value_set=done)))
+
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 def rollup_dataset(
     ds,
     config: RollupConfig | None = None,
     *,
-    worker_concurrency: int | tuple | None = None,
-    hot_detect_ds=None,
     hot_list=None,
-    packed_exchange: bool = True,
+    skip_parts: Iterable[int] = (),
+    sink: Callable[[pa.Table, int, dict], pa.Table] | None = None,
 ):
     """Build the streaming rollup pipeline (lazy Dataset of tier rows).
 
-    One hash shuffle total: ``groupby("part")``. With
-    ``worker_concurrency`` set, the rollup worker runs as an actor pool
-    (per-actor suite state built once in ``__init__``); by default it runs
-    as tasks whose per-worker-process module cache provides the same state
-    amortization.
+    One hash exchange total: ``groupby("part")``, fed by the
+    :func:`pack_derived` combiner, which moves one list-packed row per
+    (block, part, conv-run) instead of one row per turn (the sort
+    barrier's cost follows row count; BASELINE.md round 4). The worker
+    unpacks, then sorts and dedups, so output is bit-identical to the
+    in-process :func:`rollup_table` (tests/test_parallelism_invariance.py).
 
-    ``packed_exchange`` (default True) inserts the :func:`pack_derived`
-    combiner before the groupby: the exchange then moves one list-packed
-    row per (block, part, conv-run) instead of one row per turn,
-    attacking the row-count-proportional part of the sort barrier
-    (measured same-session: 8-cpu leg 1.16-1.27x faster, 2->8 efficiency
-    +0.12-0.15, 2-cpu leg neutral with the zero-copy run packing; see
-    BASELINE.md round 4). Output is bit-identical (the worker unpacks,
-    then sorts/dedups as usual — tests/test_parallelism_invariance.py).
+    The hot set is ``hot_list`` when given, else detected on ``ds`` when
+    ``config.hot_threshold`` is set.
+
+    ``skip_parts`` drops those partitions before the exchange. ``sink``,
+    a picklable ``(tier_rows, part, stage_record) -> pa.Table``, runs in
+    each reduce task after the worker; the Dataset then holds what it
+    returns instead of tier rows (``run_rollup_job`` writes the partition
+    and returns its one-row manifest summary).
     """
     config = config or RollupConfig()
     # auto partition count resolves BEFORE any worker state keys on
@@ -129,100 +160,40 @@ def rollup_dataset(
     # lineage once just to count — pass an explicit num_partitions (or a
     # pre-materialized dataset) in that case.
     config = config.resolved(ds.count()) if config.num_partitions is None else config
-    hot_ref = None
-    if hot_list is not None:
-        # precomputed hot-conversation set (a slowly-changing property of
-        # the data distribution; production jobs refresh it periodically
-        # rather than per run)
-        if hot_list:
-            hot_ref = ray.put(list(hot_list))
-    elif config.hot_threshold is not None:
-        # hot_detect_ds lets callers pass a conv_id-only read so the
-        # detection pre-pass doesn't re-decode the text column
-        hot = detect_hot_convs(hot_detect_ds or ds, config.hot_threshold)
-        if hot:
-            hot_ref = ray.put(hot)
+    if hot_list is None and config.hot_threshold is not None:
+        hot_list = detect_hot_convs(ds, config.hot_threshold)
+    hot = _broadcast_hot(hot_list)
     derived = ds.map_batches(
-        _derive_fn(config, hot_ref),
+        _derive_fn(config, hot),
         batch_format="pyarrow",
         batch_size=None,  # whole blocks; the default 1024-row batches add
         zero_copy_batch=True,  # ~100x task overhead on wide scans
-    )
-    if packed_exchange:
-        derived = derived.map_batches(
-            pack_derived,
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
-    grouped = derived.groupby("part")
-    if worker_concurrency is not None:
-        hot_items = ray.get(hot_ref) if hot_ref is not None else None
-        return grouped.map_groups(
-            _PackedRollupWorker if packed_exchange else RollupWorker,
-            fn_constructor_args=(config,),
-            fn_constructor_kwargs={"hot_list": hot_items},
-            batch_format="pyarrow",
-            concurrency=worker_concurrency,
-        )
-    return grouped.map_groups(
-        _worker_fn(config, hot_ref, packed=packed_exchange),
-        batch_format="pyarrow",
-    )
-
-
-def rollup_dataset_streaming(
-    ds,
-    config: RollupConfig | None = None,
-    *,
-    num_reducers: int | None = None,
-    hot_list=None,
-):
-    """EXPERIMENTAL: the rollup over the actor-based streaming hash
-    exchange (stages/streaming_exchange.py) instead of the Dataset sort
-    shuffle — reducer ingestion overlaps the map wave; see the module
-    doc for the semantics/determinism argument and BASELINE.md for the
-    measured A/B vs :func:`rollup_dataset`. Output is bit-identical.
-
-    Hot-conv detection pre-pass is NOT run here (pass ``hot_list``
-    explicitly); production path remains :func:`rollup_dataset`."""
-    from ..stages.streaming_exchange import rollup_streaming_exchange
-
-    config = config or RollupConfig()
-    config = (
-        config.resolved(ds.count())
-        if config.num_partitions is None
-        else config
-    )
-    hot_ref = ray.put(list(hot_list)) if hot_list else None
-    packed = ds.map_batches(
-        _derive_fn(config, hot_ref),
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
     ).map_batches(
         pack_derived,
         batch_format="pyarrow",
         batch_size=None,
         zero_copy_batch=True,
     )
-    return rollup_streaming_exchange(
-        packed,
-        config,
-        num_reducers=num_reducers,
-        hot_list=list(hot_list) if hot_list else None,
+    skip_parts = list(skip_parts)
+    if skip_parts:
+        derived = drop_parts(derived, skip_parts)
+    return derived.groupby("part").map_groups(
+        _worker_fn(config, hot, sink), batch_format="pyarrow"
     )
 
 
-def rollup_table(table: pa.Table, config: RollupConfig | None = None) -> pa.Table:
+def rollup_table(
+    table: pa.Table, config: RollupConfig | None = None, hot_list=None
+) -> pa.Table:
     """In-process reference path (no Ray): derive + single-partition worker.
 
     Used by tests as the naive oracle and by tiny inputs; produces the same
-    rows as ``rollup_dataset`` modulo row order.
+    rows as ``rollup_dataset`` given the same ``hot_list``, modulo row
+    order (no hot set is detected here).
     """
     config = (config or RollupConfig()).resolved(table.num_rows, num_cpus=1)
-    derived = DeriveAssign(config)(table)
-    return RollupWorker(config)(derived)
+    derived = DeriveAssign(config, hot_list=hot_list)(table)
+    return RollupWorker(config, hot_list=hot_list)(derived)
 
 
 #: per-tier TTL in seconds; None = keep forever. The retention half of the

@@ -282,6 +282,28 @@ def rollup_update(
     return passthrough.union(recomputed)
 
 
+def _stage(out_dir: str, part: int, batch: pa.Table, worker: RollupWorker):
+    """Stage record of a rewritten partition: the previous manifest's plus
+    this fold's. ``rows_in`` adds the delta's turns only (the replayed old
+    points were counted when they were ingested); ``dups_dropped`` adds the
+    delta's duplicates (old points never collide with delta turn_idx);
+    ``gap_filled`` and the worker seconds add this recompute's work, so a
+    recomputed conversation's fills count once per write."""
+    import json
+    import os
+
+    from ..state.checkpoint import _manifest_path
+
+    stage = dict(worker.last_stats)
+    stage["rows_in"] = int(pc.sum(pc.equal(batch["src"], 1)).as_py() or 0)
+    path = _manifest_path(out_dir, part)
+    if os.path.exists(path):
+        with open(path) as f:
+            prev = json.load(f).get("stage", {})
+        stage = {k: prev.get(k, 0) + v for k, v in stage.items()}
+    return stage
+
+
 def update_rollup_job(
     out_dir: str,
     delta_path: str,
@@ -309,9 +331,10 @@ def update_rollup_job(
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from ..pipelines.rollup import read_transcripts
+    from ..pipelines.rollup import drop_parts, read_transcripts
     from ..state.checkpoint import (
         _manifest_path,
+        _summary_row,
         _write_partition,
         completed_partitions,
     )
@@ -382,16 +405,7 @@ def update_rollup_job(
         zero_copy_batch=True,
     ).map_batches(_delta_prep, batch_format="pyarrow", batch_size=None)
     if applied:
-        appl_arr = pa.array(sorted(applied), type=pa.int32())
-
-        def drop_applied(b: pa.Table) -> pa.Table:
-            return b.filter(
-                pc.invert(pc.is_in(b["part"], value_set=appl_arr))
-            )
-
-        derived = derived.map_batches(
-            drop_applied, batch_format="pyarrow", batch_size=None
-        )
+        derived = drop_parts(derived, applied)
     merged = derived
     if pending_old:
         old_points = rd.read_parquet(
@@ -408,15 +422,11 @@ def update_rollup_job(
 
     def write_part(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "partition": pa.array([], type=pa.int32()),
-                    "rows": pa.array([], type=pa.int64()),
-                }
-            )
+            return _summary_row(None)
         part = int(batch["part"][0].as_py())
         hot_l = list(ray.get(hot_ref)) if hot_ref is not None else None
-        rec = _recompute_partition(batch, RollupWorker(config, hot_list=hot_l))
+        worker = RollupWorker(config, hot_list=hot_l)
+        rec = _recompute_partition(batch, worker)
         path = _file(part)
         if os.path.exists(path):
             oldt = pq.read_table(path)
@@ -428,13 +438,10 @@ def update_rollup_job(
             combined = rec
         lineage = dict(lineage_base)
         lineage["deltas"] = ray.get(deltas_ref).get(part, []) + [delta_path]
-        manifest = _write_partition(combined, out_dir, part, lineage)
-        return pa.table(
-            {
-                "partition": pa.array([part], type=pa.int32()),
-                "rows": pa.array([manifest["rows"]], type=pa.int64()),
-            }
+        manifest = _write_partition(
+            combined, out_dir, part, lineage, _stage(out_dir, part, batch, worker)
         )
+        return _summary_row(part, manifest["rows"])
 
     manifests = merged.groupby("part").map_groups(
         write_part, batch_format="pyarrow"

@@ -25,21 +25,23 @@ Pipeline shape (SURVEY.md §3, §7):
    - per bucket, the points that fed the tier are stored Gorilla-compressed
      (codec/gorilla.py) in a binary column.
 
-   The worker is an actor-pool callable class: per-actor state (the
-   configured feature suite, incl. the periodogram FFT scratch cache) is
-   built once in ``__init__``.
+   The worker is a callable class: its state (the configured feature
+   suite, incl. the periodogram FFT scratch cache) is built once in
+   ``__init__`` and cached per Ray worker process (pipelines/rollup.py).
 
 No other shuffle exists; the cascade is conv-local once partitioned.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..codec import gorilla
 from ..features.extractor import FeatureExtractor
@@ -132,6 +134,13 @@ class RollupConfig:
         }
 
 
+def _cluster_cpus() -> int:
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
+
+
 def auto_num_partitions(
     n_rows: int,
     num_cpus: int | None = None,
@@ -147,16 +156,31 @@ def auto_num_partitions(
     partition reproduces the measured-optimal P=96 for the 9.5M-turn bench
     (BASELINE.md) while scaling linearly with the input."""
     if num_cpus is None:
-        try:
-            import ray
-
-            num_cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            num_cpus = 8
+        num_cpus = _cluster_cpus()
     by_rows = -(-int(n_rows) // target_rows) if n_rows > 0 else 1
     parts = max(by_rows, 2 * num_cpus)
     parts = min(parts, max(-(-int(n_rows) // 1_000), 1), max_parts)
     return max(parts, 1)
+
+
+#: rows-per-block ceiling of :func:`auto_num_blocks`. Unmeasured: no
+#: benchmark workload reaches it (120 000 turns give 4 blocks per CPU).
+ROWS_PER_BLOCK = 250_000
+
+
+def auto_num_blocks(n_rows: int, num_cpus: int | None = None) -> int:
+    """Read block count of a rollup input: ``max(4 x CPUs, ceil(rows /
+    ROWS_PER_BLOCK))``.
+
+    Every block is one map task and one sorted run entering the exchange,
+    so Ray's default (one or more blocks per file) makes the hot pre-pass
+    and the exchange pay per-block scheduling and merge costs that do not
+    shrink with the data; 4 blocks per CPU gives 4 map waves that smooth
+    the straggler tail (BASELINE.md round 3), and the row ceiling keeps
+    each block bounded at any input size."""
+    if num_cpus is None:
+        num_cpus = _cluster_cpus()
+    return max(4 * num_cpus, -(-int(n_rows) // ROWS_PER_BLOCK), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,34 +375,71 @@ def unpack_packed(batch: pa.Table) -> pa.Table:
     )
 
 
+def _partial_counts(batch: pa.Table) -> pa.Table:
+    counts = batch.group_by("conv_id").aggregate([("conv_id", "count")])
+    return pa.table(
+        {
+            "conv_id": counts["conv_id"],
+            "cnt": counts["conv_id_count"].cast(pa.int64()),
+        }
+    )
+
+
+@ray.remote
+def _select_partials(block: pa.Table, floor: int | None, convs) -> pa.Table:
+    """``floor`` set: the block's convs whose summed partial count is at
+    least ``floor``; else the block's partial rows of ``convs``."""
+    if floor is not None:
+        sums = block.group_by("conv_id").aggregate([("cnt", "sum")])
+        return sums.filter(pc.greater_equal(sums["cnt_sum"], floor))
+    return block.filter(pc.is_in(block["conv_id"], value_set=convs))
+
+
+#: most (block, conv) partial rows :func:`detect_hot_convs` sums on the
+#: driver; above it the partials are summed by an aggregate exchange
+HOT_DRIVER_ROWS = 1_000_000
+
+
 def detect_hot_convs(ds, threshold: int):
-    """Pre-pass: per-batch partial counts -> tiny groupby -> hot conv list.
+    """Pre-pass: the exact set of conversations with at least
+    ``threshold`` rows.
 
-    The shuffle moves one row per (batch, conv), i.e. orders of magnitude
-    less than the data; the result is small enough to broadcast.
+    Each input block yields one (conv_id, cnt) partial row per conv it
+    holds (``batch_size=None`` is essential — 1024-row batches would emit
+    millions of partial rows). Up to ``HOT_DRIVER_ROWS`` partial rows, no
+    exchange runs (an aggregate exchange over the partials costs several
+    times the count pass itself): a conv with ``threshold`` rows spread
+    over B blocks has at least ``threshold / B`` of them in one block, so
+    only convs reaching that in some block are candidates, and only their
+    partials reach the driver to be summed. Above it — many blocks make
+    that floor low and nearly every conv a candidate — the partials are
+    summed by ``groupby("conv_id")``.
     """
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        counts = batch.group_by("conv_id").aggregate([("conv_id", "count")])
-        return pa.table(
-            {
-                "conv_id": counts["conv_id"],
-                "cnt": counts["conv_id_count"].cast(pa.int64()),
-            }
+    partials = (
+        ds.select_columns(["conv_id"])
+        .map_batches(_partial_counts, batch_format="pyarrow", batch_size=None)
+        .materialize()
+    )
+    if partials.count() > HOT_DRIVER_ROWS:
+        total = partials.groupby("conv_id").sum("cnt").map_batches(
+            lambda b: b.filter(pc.greater_equal(b["sum(cnt)"], threshold)),
+            batch_format="pyarrow",
+            batch_size=None,
         )
-
-    # one partial row per (block, conv): batch_size=None is essential —
-    # default 1024-row batches would emit millions of partial rows
-    counts = ds.select_columns(["conv_id"]).map_batches(
-        partial_counts, batch_format="pyarrow", batch_size=None
+        return [r["conv_id"] for r in total.take_all()]
+    refs = partials.to_arrow_refs()
+    floor = max(-(-int(threshold) // max(len(refs), 1)), 1)
+    found = ray.get([_select_partials.remote(r, floor, None) for r in refs])
+    found = [t for t in found if t.num_rows]
+    if not found:
+        return []
+    candidates = ray.put(
+        pc.unique(pa.concat_tables(found)["conv_id"].combine_chunks())
     )
-    total = counts.groupby("conv_id").sum("cnt")
-    hot = total.map_batches(
-        lambda b: b.filter(pc.greater_equal(b["sum(cnt)"], threshold)),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-    return [r["conv_id"] for r in hot.take_all()]
+    rows = ray.get([_select_partials.remote(r, None, candidates) for r in refs])
+    total = pa.concat_tables(rows).group_by("conv_id").aggregate([("cnt", "sum")])
+    hot = total.filter(pc.greater_equal(total["cnt_sum"], threshold))
+    return hot["conv_id"].to_pylist()
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +537,17 @@ def _encode_points(
 
 
 class RollupWorker:
-    """Actor-pool callable: processes one partition table into tier rows.
+    """Reduce-side callable: processes one partition table into tier rows.
 
     ``hot_list`` must be the same hot-conversation set given to
     :class:`DeriveAssign`: gap-fill for those convs is truncated at
     salt-window boundaries (see ``_gap_fill``) so results do not depend on
     which salt windows co-hash into this partition.
+
+    After each call ``last_stats`` holds that call's stage record: rows
+    in, duplicates dropped, gap-filled points (both fill levels), and
+    the call's wall and CPU seconds. Partition writers put it in the
+    manifest (state/checkpoint.py).
     """
 
     def __init__(self, config: RollupConfig, hot_list: Iterable[str] | None = None):
@@ -489,6 +555,7 @@ class RollupWorker:
         self.suite = GroupedSuite(config.extractor(), config.fill_value)
         self.feature_names = self.suite.names
         self.hot = frozenset(hot_list) if hot_list else frozenset()
+        self.last_stats: dict[str, Any] = {}
 
     def _hot_codes(self, dictionary: pa.Array) -> np.ndarray | None:
         """Boolean mask over dictionary codes: which convs are hot."""
@@ -528,9 +595,16 @@ class RollupWorker:
         return pa.table(cols)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        wall, cpu = time.perf_counter(), time.process_time()
+        stats = {"rows_in": batch.num_rows, "dups_dropped": 0, "gap_filled": 0}
+        out = self._cascade(batch, stats) if batch.num_rows else self._empty()
+        stats["worker_s"] = time.perf_counter() - wall
+        stats["worker_cpu_s"] = time.process_time() - cpu
+        self.last_stats = stats
+        return out
+
+    def _cascade(self, batch: pa.Table, stats: dict[str, Any]) -> pa.Table:
         cfg = self.config
-        if batch.num_rows == 0:
-            return self._empty()
         conv_dict = pc.dictionary_encode(batch["conv_id"].combine_chunks())
         codes = conv_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         dictionary = conv_dict.dictionary
@@ -557,6 +631,7 @@ class RollupWorker:
             )
             keep[1:] = (codes[1:] != codes[:-1]) | (turn[1:] != turn[:-1])
             codes, turn, ts_us, m = codes[keep], turn[keep], ts_us[keep], m[keep]
+            stats["dups_dropped"] = batch.num_rows - codes.shape[0]
         w = np.ones_like(m)
 
         tables = []
@@ -604,6 +679,7 @@ class RollupWorker:
         codes_f, slot_f, m_f, w_f = _gap_fill(
             codes_b, slot_b, m_b, w_b, mode_1m, cfg.max_fill_gap, seg_b
         )
+        stats["gap_filled"] += codes_f.shape[0] - codes_b.shape[0]
         if "1h" in cfg.tiers or "1d" in cfg.tiers:
             hour = slot_f // 60
             t_f = (slot_f * 60 + 30).astype(np.float64)  # 1m bin centers, sec
@@ -648,6 +724,7 @@ class RollupWorker:
                 codes_g, hour_g, m_g, w_g = _gap_fill(
                     codes_hb, hour_hb, m_hb, w_hb, mode_1h, max_gap_h, seg_hb
                 )
+                stats["gap_filled"] += codes_g.shape[0] - codes_hb.shape[0]
                 day = hour_g // 24
                 t_g = (hour_g * 3600 + 1800).astype(np.float64)
                 ts_g_us = (hour_g * 3600 + 1800) * 1_000_000

@@ -4,17 +4,29 @@ Output layout (resumable-output contract; no reference counterpart —
 engine-side design):
 
     out_dir/
-      _job.json                     # config + input lineage of the job
+      _job.json                     # config + input lineage + hot set
       part=<p>/
         data.parquet                # tier rows of partition p
-        _manifest.json              # completion marker with metrics
+        _manifest.json              # completion marker + stage record
 
-A partition directory is written atomically (temp file + rename); the
-manifest is written last, so a partition is complete iff its manifest
-exists. On resume, completed partitions are skipped — the derive stage
-filters their rows out before the shuffle, so a rerun only pays for the
-missing partitions. Every stage is deterministic (fixed hashes, no RNG), so
-retries and resumes produce identical bytes.
+``run_rollup_job`` is ``rollup_dataset`` (pipelines/rollup.py) over a
+read sized by ``auto_num_blocks``, with :class:`PartitionWriter` as its
+per-partition sink; the job itself only keeps the books: lineage in
+``_job.json``, the resume filter, and the hot set (detected once on a
+conv_id-only read, recorded, and replayed on resume and by
+``update_rollup_job``).
+
+Every writer — the job, :func:`write_dataset_partitioned` and
+``update_rollup_job`` — goes through :func:`_write_partition`: the data
+file is written atomically (temp file + rename) and the manifest last,
+so a partition is complete iff its manifest exists. Each manifest holds
+a stage record (rows in, duplicates dropped, gap-filled points, points
+bytes per tier, worker wall and CPU seconds; per-operator snapshot
+metadata in the manner of Flink's state backends); :func:`job_report`
+sums them. On resume, completed partitions are dropped before the
+exchange, so a rerun only pays for the missing ones. Every stage is
+deterministic (fixed hashes, no RNG), so retries and resumes produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -22,15 +34,14 @@ from __future__ import annotations
 import json
 import os
 import time
+from statistics import median
 from typing import Any
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
-
-from ..stages.rollup import RollupConfig, RollupWorker, detect_hot_convs
+from ..stages.rollup import RollupConfig, auto_num_blocks, detect_hot_convs
 
 
 def _manifest_path(out_dir: str, part: int) -> str:
@@ -50,25 +61,48 @@ def completed_partitions(out_dir: str) -> set[int]:
 
 
 def _write_partition(
-    table: pa.Table, out_dir: str, part: int, lineage: dict[str, Any]
+    table: pa.Table,
+    out_dir: str,
+    part: int,
+    lineage: dict[str, Any],
+    stage: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
+    """The one partition writer: ``part=<p>/data.parquet`` atomically,
+    then its manifest. A tier table adds rows and points bytes per tier;
+    ``stage`` (the worker's stage record) is stored with the latter. After
+    ``update_rollup_job`` rewrites a partition, its stage record is
+    cumulative over the job and every fold applied to it (see
+    ``pipelines.update._stage``)."""
     part_dir = os.path.join(out_dir, f"part={part}")
     os.makedirs(part_dir, exist_ok=True)
     tmp = os.path.join(part_dir, ".data.parquet.tmp")
     pq.write_table(table, tmp)
     final = os.path.join(part_dir, "data.parquet")
     os.replace(tmp, final)
-    tier_counts = (
-        pc.value_counts(table["tier"]).to_pylist() if table.num_rows else []
-    )
     manifest = {
         "partition": part,
         "rows": table.num_rows,
         "bytes": os.path.getsize(final),
-        "tiers": {d["values"]: d["counts"] for d in tier_counts},
         "written_at": time.time(),
         "lineage": lineage,
     }
+    names = table.column_names
+    if "tier" in names:
+        counts = pc.value_counts(table["tier"]).to_pylist()
+        manifest["tiers"] = {d["values"]: d["counts"] for d in counts}
+        if "points" in names:
+            sizes = pa.table(
+                {
+                    "tier": table["tier"],
+                    "b": pc.binary_length(table["points"]).cast(pa.int64()),
+                }
+            ).group_by("tier").aggregate([("b", "sum")])
+            stage = dict(stage or {})
+            stage["points_bytes"] = dict(
+                zip(sizes["tier"].to_pylist(), sizes["b_sum"].to_pylist())
+            )
+    if stage is not None:
+        manifest["stage"] = stage
     tmp_m = _manifest_path(out_dir, part) + ".tmp"
     with open(tmp_m, "w") as f:
         json.dump(manifest, f)
@@ -76,40 +110,38 @@ def _write_partition(
     return manifest
 
 
-class CheckpointedRollupWorker:
-    """map_groups callable: rollup one partition, write it, emit the
-    manifest row (the Dataset output is the tiny manifest table)."""
+def _summary_row(part: int | None, rows: int = 0) -> pa.Table:
+    """One-row (or, for ``part=None``, empty) per-partition summary."""
+    parts, counts = ([], []) if part is None else ([part], [rows])
+    return pa.table(
+        {
+            "partition": pa.array(parts, type=pa.int32()),
+            "rows": pa.array(counts, type=pa.int64()),
+        }
+    )
 
-    def __init__(
-        self,
-        config: RollupConfig,
-        out_dir: str,
-        lineage: dict,
-        hot_list=None,
-        packed: bool = False,
-    ):
-        # hot_list must match DeriveAssign's so salted gap-fill truncates
-        # at salt-window boundaries (partition-count independence)
-        self.worker = RollupWorker(config, hot_list=hot_list)
+
+class PartitionWriter:
+    """``rollup_dataset`` sink: write one partition with its stage record
+    and emit its one-row summary (the job's Dataset output)."""
+
+    def __init__(self, out_dir: str, lineage: dict[str, Any]):
         self.out_dir = out_dir
         self.lineage = lineage
-        self.packed = packed
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        part = int(batch["part"][0].as_py()) if batch.num_rows else -1
-        if self.packed:
-            from ..stages.rollup import unpack_packed
+    def __call__(self, table: pa.Table, part: int, stage: dict) -> pa.Table:
+        if part < 0:  # an empty reduce group: nothing to write
+            return _summary_row(None)
+        manifest = _write_partition(table, self.out_dir, part, self.lineage, stage)
+        return _summary_row(part, manifest["rows"])
 
-            batch = unpack_packed(batch)
-        table = self.worker(batch)
-        manifest = _write_partition(table, self.out_dir, part, self.lineage)
-        return pa.table(
-            {
-                "partition": pa.array([part], type=pa.int32()),
-                "rows": pa.array([manifest["rows"]], type=pa.int64()),
-                "bytes": pa.array([manifest["bytes"]], type=pa.int64()),
-            }
-        )
+
+def _load_job(out_dir: str) -> dict | None:
+    path = os.path.join(out_dir, "_job.json")
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return json.load(f)
 
 
 def run_rollup_job(
@@ -121,99 +153,111 @@ def run_rollup_job(
     writing per-partition tier parquet + manifests under ``out_dir``.
     Returns a job summary dict. This is the ``ray job submit`` entrypoint
     body (see scripts/rollup_job.py)."""
-    from ..pipelines.rollup import _derive_fn, read_transcripts
+    from dataclasses import replace
+
+    import ray.data as rd
+
+    from ..pipelines.rollup import read_transcripts, rollup_dataset
 
     config = config or RollupConfig()
-    ds = read_transcripts(input_path)
+    # parquet metadata: no data is read to count
+    n_rows = read_transcripts(input_path).count()
     os.makedirs(out_dir, exist_ok=True)
     done = completed_partitions(out_dir)
-    job_path = os.path.join(out_dir, "_job.json")
-    prior = None
-    if os.path.exists(job_path):
-        with open(job_path) as f:
-            prior = json.load(f)
+    prior = _load_job(out_dir)
+    resume = prior is not None and prior.get("input") == input_path
     if config.num_partitions is None:
-        if prior is not None and prior.get("input") == input_path:
-            # a RESUME must reuse the original partition modulus: the auto
-            # rule depends on cluster size, and mixing two moduli across
-            # one output directory silently drops/duplicates conversations
-            from dataclasses import replace
-
-            config = replace(
-                config,
-                num_partitions=int(prior["config"]["num_partitions"]),
-            )
-        else:
-            config = config.resolved(ds.count())
-    if done and prior is not None and (
-        prior.get("input") != input_path or prior.get("config") != config.to_dict()
-    ):
+        # a RESUME must reuse the original partition modulus: the auto
+        # rule depends on cluster size, and mixing two moduli across
+        # one output directory silently drops/duplicates conversations
+        config = (
+            replace(config, num_partitions=int(prior["config"]["num_partitions"]))
+            if resume
+            else config.resolved(n_rows)
+        )
+    same_lineage = resume and prior.get("config") == config.to_dict()
+    if done and not same_lineage:
         raise ValueError(
             "refusing to resume: existing _job.json lineage in "
             f"{out_dir!r} records a different input or config than this "
             "run; use a fresh out_dir or pass the original config"
         )
-    hot_ref, hot = None, None
-    if config.hot_threshold is not None:
-        hot = detect_hot_convs(ds, config.hot_threshold)
-        if hot:
-            hot_ref = ray.put(hot)
-    # the hot set is part of the partition-assignment identity — the
-    # incremental update job (pipelines/update.py) must replay it
-    lineage = {
-        "input": input_path,
-        "config": config.to_dict(),
-        "hot": sorted(hot) if hot else [],
-    }
-    with open(job_path, "w") as f:
-        json.dump(lineage, f)
-    from ..stages.rollup import pack_derived
-
-    derived = ds.map_batches(
-        _derive_fn(config, hot_ref),
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
-    ).map_batches(
-        # same packed exchange as rollup_dataset: the shuffle moves one
-        # list-packed row per (block, part, conv-run); bit-identical
-        pack_derived,
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
-    )
-    if done:
-        done_arr = list(done)
-
-        def drop_done(batch: pa.Table) -> pa.Table:
-            return batch.filter(
-                pc.invert(pc.is_in(batch["part"], value_set=pa.array(done_arr)))
+    num_blocks = auto_num_blocks(n_rows)
+    if same_lineage:
+        # the recorded hot set is part of the partition-assignment
+        # identity: replaying it keeps a resumed partition's rows exact
+        hot = list(prior.get("hot", []))
+    else:
+        hot = []
+        if config.hot_threshold is not None:
+            ids = rd.read_parquet(
+                input_path, columns=["conv_id"], override_num_blocks=num_blocks
             )
-
-        derived = derived.map_batches(drop_done, batch_format="pyarrow")
-
-    worker = CheckpointedRollupWorker(
-        config, out_dir, lineage, hot_list=hot, packed=True
-    )
-
-    def checkpointed_rollup(batch: pa.Table) -> pa.Table:
-        return worker(batch)
-
-    manifests = derived.groupby("part").map_groups(
-        checkpointed_rollup, batch_format="pyarrow"
-    )
-    new_parts = manifests.to_pandas()
+            hot = sorted(detect_hot_convs(ids, config.hot_threshold))
+        # the incremental update job (pipelines/update.py) replays it too
+        job = {"input": input_path, "config": config.to_dict(), "hot": hot}
+        tmp = os.path.join(out_dir, "_job.json.tmp")
+        with open(tmp, "w") as f:
+            json.dump(job, f)
+        os.replace(tmp, os.path.join(out_dir, "_job.json"))
+    lineage = {"input": input_path, "config": config.to_dict(), "hot": hot}
+    new_parts = rollup_dataset(
+        read_transcripts(input_path, num_blocks=num_blocks),
+        config,
+        hot_list=hot,
+        skip_parts=done,
+        sink=PartitionWriter(out_dir, lineage),
+    ).to_pandas()
+    # a finished job leaves nothing to exchange: an empty, column-less frame
+    written = new_parts["partition"].tolist() if len(new_parts) else []
     return {
         "partitions_completed_previously": sorted(done),
-        "partitions_written": sorted(new_parts["partition"].tolist())
-        if len(new_parts)
-        else [],
-        "rows_written": int(new_parts["rows"].sum()) if len(new_parts) else 0,
+        "partitions_written": sorted(written),
+        "rows_written": int(new_parts["rows"].sum()) if written else 0,
     }
+
+
+def job_report(out_dir: str) -> dict[str, Any]:
+    """Totals over the manifests of every completed partition — rows,
+    bytes, tier rows and the summed stage records — plus partition skew:
+    max / median of the tier rows written per non-empty partition.
+
+    The stage totals stay cumulative across incremental updates:
+    ``rows_in`` counts every turn ingested (job input plus deltas) and
+    ``rows_in - dups_dropped`` equals the 1m tier's summed ``n_points``."""
+    manifests = []
+    for p in sorted(completed_partitions(out_dir)):
+        with open(_manifest_path(out_dir, p)) as f:
+            manifests.append(json.load(f))
+    report: dict[str, Any] = {
+        "partitions": len(manifests),
+        "rows": sum(m["rows"] for m in manifests),
+        "bytes": sum(m["bytes"] for m in manifests),
+        "tiers": {},
+        "stage": {},
+    }
+
+    def add(into: dict, record: dict) -> None:
+        for key, value in record.items():
+            if isinstance(value, dict):
+                add(into.setdefault(key, {}), value)
+            else:
+                into[key] = into.get(key, 0) + value
+
+    for m in manifests:
+        add(report["tiers"], m.get("tiers", {}))
+        add(report["stage"], m.get("stage", {}))
+    rows = [m["rows"] for m in manifests if m["rows"]]
+    report["part_rows_max"] = max(rows, default=0)
+    report["part_rows_median"] = median(rows) if rows else 0
+    report["part_rows_skew"] = max(rows) / median(rows) if rows else 0.0
+    return report
 
 
 def read_rollup_output(out_dir: str):
-    """Dataset over all completed partitions' tier rows."""
+    """Dataset over all completed partitions' rows — a torn partition
+    without its manifest is invisible (the resume contract). Reads both
+    the job's and :func:`write_dataset_partitioned`'s layout."""
     import ray.data as rd
 
     paths = [
@@ -226,6 +270,9 @@ def read_rollup_output(out_dir: str):
     if "part" in ds.schema().names:
         ds = ds.drop_columns(["part"])
     return ds
+
+
+read_dataset_partitioned = read_rollup_output
 
 
 def write_dataset_partitioned(
@@ -242,15 +289,16 @@ def write_dataset_partitioned(
     LAST, so a partition is complete iff its manifest exists) applied
     to arbitrary pipelines: dedup decision tables, curation outputs,
     resampled series. On rerun over the same ``out_dir``, completed
-    partitions are SKIPPED — their bytes are never rewritten — and only
-    the missing ones recompute, which is what makes a 100-TB write
-    restartable after a mid-job failure. Partition assignment hashes
+    partitions are dropped before the exchange — their bytes are never
+    rewritten — and only the missing ones recompute, which is what makes
+    a 100-TB write restartable after a mid-job failure. Partition assignment hashes
     ``key_col`` with the engine's fixed deterministic hash, so the
     row→partition map is identical across retries and cluster sizes
     (same rule as the rollup; ``num_partitions`` is part of the output
     identity and is recorded in every manifest).
 
-    Returns a summary dict: partitions written / skipped, rows, bytes.
+    Returns a summary dict: partitions written, partitions skipped (the
+    ones already complete), rows written.
 
     Scale shape: ONE key-hash exchange; each reduce task writes its own
     partition directory and emits a one-row manifest summary — no
@@ -258,6 +306,7 @@ def write_dataset_partitioned(
     """
     import numpy as np
 
+    from ..pipelines.rollup import drop_parts
     from ..stages.rollup import hash_strings
 
     done = completed_partitions(out_dir)
@@ -278,68 +327,25 @@ def write_dataset_partitioned(
         )
 
     def write_part(grp: pa.Table) -> pa.Table:
+        if grp.num_rows == 0:
+            return _summary_row(None)
         part = int(grp["part"][0].as_py())
-        grp = grp.drop_columns(["part"])
-        if part in done:
-            return pa.table(
-                {
-                    "partition": pa.array([part], type=pa.int32()),
-                    "rows": pa.array([0], type=pa.int64()),
-                    "skipped": pa.array([True]),
-                }
-            )
-        part_dir = os.path.join(out_dir, f"part={part}")
-        os.makedirs(part_dir, exist_ok=True)
-        tmp = os.path.join(part_dir, ".data.parquet.tmp")
-        pq.write_table(grp, tmp)
-        final = os.path.join(part_dir, "data.parquet")
-        os.replace(tmp, final)
-        manifest = {
-            "partition": part,
-            "rows": grp.num_rows,
-            "bytes": os.path.getsize(final),
-            "written_at": time.time(),
-            "lineage": base_lineage,
-        }
-        tmp_m = _manifest_path(out_dir, part) + ".tmp"
-        with open(tmp_m, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp_m, _manifest_path(out_dir, part))
-        return pa.table(
-            {
-                "partition": pa.array([part], type=pa.int32()),
-                "rows": pa.array([grp.num_rows], type=pa.int64()),
-                "skipped": pa.array([False]),
-            }
+        manifest = _write_partition(
+            grp.drop_columns(["part"]), out_dir, part, base_lineage
         )
+        return _summary_row(part, manifest["rows"])
 
+    assigned = ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
+    if done:
+        assigned = drop_parts(assigned, done)
     results = (
-        ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
-        .groupby("part")
+        assigned.groupby("part")
         .map_groups(write_part, batch_format="pyarrow")
         .to_pandas()
     )
     return {
         "out_dir": out_dir,
-        "partitions_written": int((~results["skipped"]).sum()),
-        "partitions_skipped": int(results["skipped"].sum()),
-        "rows_written": int(results["rows"].sum()),
+        "partitions_written": len(results),
+        "partitions_skipped": len(done),
+        "rows_written": int(results["rows"].sum()) if len(results) else 0,
     }
-
-
-def read_dataset_partitioned(out_dir: str):
-    """Read back a :func:`write_dataset_partitioned` output as one
-    Dataset (only completed partitions — a torn partition without its
-    manifest is invisible, the resume contract)."""
-    import ray.data as rd
-
-    paths = [
-        os.path.join(out_dir, f"part={p}", "data.parquet")
-        for p in sorted(completed_partitions(out_dir))
-    ]
-    ds = rd.read_parquet(paths)
-    # the hive-style part=<p> directory names make the reader infer a
-    # "part" column that isn't in the written files -- drop it
-    if "part" in ds.schema().names:
-        ds = ds.drop_columns(["part"])
-    return ds

@@ -6,7 +6,8 @@ def test_api_surface_importable():
 
     groups = {
         "rollup": ["read_transcripts", "rollup_dataset", "run_rollup_job",
-                   "update_rollup_job", "apply_retention", "RollupConfig"],
+                   "update_rollup_job", "apply_retention", "RollupConfig",
+                   "job_report", "read_rollup_output"],
         "sources": ["read_transcripts_jsonl", "read_transcripts_csv",
                     "synth_transcripts_table"],
         "features": ["FeatureExtractor", "Periodogram", "Bins", "REGISTRY"],

@@ -3,6 +3,7 @@ invariants (byte-exact text, stable order, dedup)."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -63,6 +64,106 @@ def test_job_writes_manifests_and_resumes(ray_session, synth_dir, tmp_path):
     # fully-complete job: nothing to do
     summary3 = run_rollup_job(synth_dir, out, cfg)
     assert summary3["partitions_written"] == []
+
+
+def _interleaved_redelivered(tmp_path, shards=4):
+    """Synthetic turns ordered by time across conversations, 3 % of them
+    delivered twice, written as ``shards`` files."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    tbl = synth_transcripts_table(
+        n_convs=12, mean_turns=30, hot_convs=1, hot_turns=800, seed=5
+    )
+    rng = np.random.default_rng(5)
+    again = tbl.take(pa.array(rng.choice(tbl.num_rows, tbl.num_rows // 33, replace=False)))
+    both = pa.concat_tables([tbl, again])
+    both = both.take(pc.sort_indices(both, [("ts", "ascending")]))
+    d = tmp_path / "interleaved"
+    d.mkdir()
+    step = -(-both.num_rows // shards)
+    for i in range(shards):
+        pq.write_table(both.slice(i * step, step), str(d / f"part-{i}.parquet"))
+    return str(d), both, again.num_rows
+
+
+def test_job_matches_rollup_table(ray_session, tmp_path):
+    """The job over time-interleaved input with re-delivered turns and a
+    hot conv writes exactly the in-process reference's rows; _job.json
+    records the hot set, and the manifests' stage records add up."""
+    import pyarrow.compute as pc
+
+    from light_curve_feature_ray.pipelines.rollup import rollup_table
+    from light_curve_feature_ray.state.checkpoint import (
+        job_report,
+        read_rollup_output,
+        run_rollup_job,
+    )
+
+    path, table, redelivered = _interleaved_redelivered(tmp_path)
+    cfg = RollupConfig(
+        features=("observation_count", "mean", "eta"), hot_threshold=400
+    )
+    out = str(tmp_path / "out")
+    summary = run_rollup_job(path, out, cfg)
+    with open(os.path.join(out, "_job.json")) as f:
+        job = json.load(f)
+    counts = table.group_by("conv_id").aggregate([("conv_id", "count")])
+    hot = counts.filter(pc.greater_equal(counts["conv_id_count"], 400))
+    assert job["hot"] == sorted(hot["conv_id"].to_pylist()) and job["hot"]
+
+    keys = ["conv_id", "tier", "bucket_ts"]
+    got = read_rollup_output(out).to_pandas().sort_values(keys).reset_index(drop=True)
+    want = (
+        rollup_table(table, cfg, hot_list=job["hot"])
+        .to_pandas()
+        .sort_values(keys)
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got[want.columns], want)
+
+    report = job_report(out)
+    assert report["partitions"] == len(summary["partitions_written"])
+    assert report["rows"] == summary["rows_written"] == len(want)
+    assert report["tiers"] == want["tier"].value_counts().to_dict()
+    stage = report["stage"]
+    assert stage["rows_in"] == table.num_rows
+    assert stage["dups_dropped"] == redelivered
+    assert stage["gap_filled"] > 0
+    assert stage["worker_s"] > 0 and stage["worker_cpu_s"] > 0
+    points = want.groupby("tier")["points"].apply(lambda b: sum(map(len, b)))
+    assert stage["points_bytes"] == points.to_dict()
+    assert report["part_rows_skew"] >= 1.0
+
+
+def test_job_resume_rewrites_only_missing_partition(ray_session, tmp_path):
+    """Deleting one manifest makes a rerun rewrite exactly that partition,
+    byte-identical, and leave every other file untouched."""
+    from light_curve_feature_ray.state.checkpoint import run_rollup_job
+
+    path, _, _ = _interleaved_redelivered(tmp_path)
+    cfg = RollupConfig(
+        features=("observation_count", "mean"), num_partitions=5, hot_threshold=400
+    )
+    out = str(tmp_path / "out")
+    first = run_rollup_job(path, out, cfg)
+    assert first["partitions_written"] == [0, 1, 2, 3, 4]
+
+    def data(p):
+        return Path(out) / f"part={p}" / "data.parquet"
+
+    before = {p: data(p).read_bytes() for p in range(5)}
+    mtimes = {p: data(p).stat().st_mtime for p in range(5)}
+    job = (Path(out) / "_job.json").read_text()
+    victim = 3
+    os.remove(os.path.join(out, f"part={victim}", "_manifest.json"))
+    again = run_rollup_job(path, out, cfg)
+    assert again["partitions_written"] == [victim]
+    assert again["partitions_completed_previously"] == [0, 1, 2, 4]
+    assert data(victim).read_bytes() == before[victim]
+    for p in (0, 1, 2, 4):
+        assert data(p).stat().st_mtime == mtimes[p], p
+    assert (Path(out) / "_job.json").read_text() == job
 
 
 def test_turns_passthrough_invariants(ray_session, synth_dir):

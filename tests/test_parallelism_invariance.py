@@ -1,14 +1,26 @@
 """Outputs must be independent of partitioning/parallelism choices —
 the property that makes retries, resumes and cluster-size changes safe."""
 
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from light_curve_feature_ray.sources.synth import synth_transcripts_parquet
 from light_curve_feature_ray.stages.rollup import RollupConfig
 
 CFG = dict(n_convs=15, mean_turns=35, hot_convs=1, hot_turns=200, seed=77)
+
+
+def hot_convs(table: pa.Table, threshold: int) -> list:
+    """Conversations with at least ``threshold`` rows (detect_hot_convs's
+    rule, computed in-process)."""
+    counts = table.group_by("conv_id").aggregate([("conv_id", "count")])
+    hot = counts.filter(pc.greater_equal(counts["conv_id_count"], threshold))
+    return sorted(hot["conv_id"].to_pylist())
 
 
 @pytest.fixture(scope="module")
@@ -55,77 +67,62 @@ def test_rerun_bit_identical(ray_session, synth_dir):
     pd.testing.assert_frame_equal(a, b)
 
 
+def _sorted(df, keys=("conv_id", "tier", "bucket_ts")):
+    return df.sort_values(list(keys)).reset_index(drop=True)
+
+
 def test_packed_exchange_bit_identical(ray_session, synth_dir):
-    """The list-packed exchange (pack_derived/unpack_packed) must yield
-    byte-identical output to the row exchange — including Gorilla points
-    bytes — at any partition count, tasks or actor pool."""
+    """The one exchange (pack_derived -> groupby -> unpack_packed) must
+    yield byte-identical output to the in-process reference — including
+    Gorilla points bytes — at any partition count."""
+    import pyarrow.parquet as pq
+
     from light_curve_feature_ray.pipelines.rollup import (
         read_transcripts,
         rollup_dataset,
+        rollup_table,
     )
 
     cfg = RollupConfig(
         features=("observation_count", "mean", "standard_deviation", "eta"),
-        num_partitions=5,
         hot_threshold=None,
         store_points=True,
     )
-    base = (
-        rollup_dataset(read_transcripts(synth_dir), cfg, packed_exchange=False)
-        .to_pandas()
-        .sort_values(["conv_id", "tier", "bucket_ts"])
-        .reset_index(drop=True)
-    )
-    packed = (
-        rollup_dataset(read_transcripts(synth_dir), cfg, packed_exchange=True)
-        .to_pandas()
-        .sort_values(["conv_id", "tier", "bucket_ts"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(base, packed)
-    packed_actors = (
-        rollup_dataset(
-            read_transcripts(synth_dir),
-            cfg,
-            packed_exchange=True,
-            worker_concurrency=2,
-        )
-        .to_pandas()
-        .sort_values(["conv_id", "tier", "bucket_ts"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(base, packed_actors)
+    want = _sorted(rollup_table(pq.read_table(synth_dir), cfg).to_pandas())
+    for parts in (2, 5):
+        got = rollup_dataset(
+            read_transcripts(synth_dir), replace(cfg, num_partitions=parts)
+        ).to_pandas()
+        pd.testing.assert_frame_equal(_sorted(got), want)
 
 
 def test_packed_exchange_salted_and_dups(ray_session, salted_dir):
-    """Packed exchange under hot-conv salting AND cross-block duplicate
+    """The exchange under hot-conv salting AND cross-block duplicate
     rows: dedup happens at the worker after unpack, so the (min ts,
     min m) duplicate rule must survive packing."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from light_curve_feature_ray.pipelines.rollup import (
         read_transcripts,
         rollup_dataset,
+        rollup_table,
     )
 
     cfg = RollupConfig(
         features=("observation_count", "mean"),
-        num_partitions=4,
         hot_threshold=500,
         store_points=True,
     )
-
-    def run_variant(packed):
-        return (
-            rollup_dataset(
-                read_transcripts(salted_dir), cfg, packed_exchange=packed
-            )
-            .to_pandas()
-            .sort_values(["conv_id", "tier", "bucket_ts"])
-            .reset_index(drop=True)
-        )
-
-    pd.testing.assert_frame_equal(run_variant(False), run_variant(True))
+    table = pq.read_table(salted_dir)
+    hot = hot_convs(table, 500)
+    assert len(hot) == 2
+    want = _sorted(rollup_table(table, cfg, hot_list=hot).to_pandas())
+    for parts in (3, 4):
+        got = rollup_dataset(
+            read_transcripts(salted_dir), replace(cfg, num_partitions=parts)
+        ).to_pandas()
+        pd.testing.assert_frame_equal(_sorted(got), want)
 
     # duplicates in different blocks (retry shape): same (conv, turn)
     # twice with different (ts, m) — packed must resolve identically
@@ -140,27 +137,22 @@ def test_packed_exchange_salted_and_dups(ray_session, salted_dir):
             ),
         }
     )
-    ds = rd.from_pandas(df).repartition(3)
     cfg2 = RollupConfig(
         features=("observation_count", "mean"),
         tiers=("1m",),
-        num_partitions=2,
         hot_threshold=None,
         store_points=True,
     )
-    a = (
-        rollup_dataset(ds, cfg2, packed_exchange=False)
-        .to_pandas()
-        .sort_values(["conv_id", "bucket_ts"])
-        .reset_index(drop=True)
+    keys = ("conv_id", "bucket_ts")
+    want2 = _sorted(
+        rollup_table(pa.Table.from_pandas(df, preserve_index=False), cfg2).to_pandas(),
+        keys,
     )
-    b = (
-        rollup_dataset(ds, cfg2, packed_exchange=True)
-        .to_pandas()
-        .sort_values(["conv_id", "bucket_ts"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b)
+    assert want2["n_points"].sum() == 4
+    for parts in (1, 2):
+        ds = rd.from_pandas(df).repartition(3)
+        got = rollup_dataset(ds, replace(cfg2, num_partitions=parts)).to_pandas()
+        pd.testing.assert_frame_equal(_sorted(got, keys), want2)
 
 
 # --- salted path: hot convs spread across partitions by salt window ------

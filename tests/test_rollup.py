@@ -330,11 +330,12 @@ def test_apply_retention(ray_session):
     assert sorted(out["v"]) == [2.0, 4.0, 5.0, 6.0]
 
 
-def test_actor_pool_worker_matches_tasks(ray_session):
-    """rollup_dataset(worker_concurrency=...) runs RollupWorker as an
-    actor pool (per-actor state in __init__); output must be identical to
-    the default task path."""
-    import ray.data as rd
+def test_rollup_dataset_detected_hot_set_matches_reference(ray_session, tmp_path):
+    """rollup_dataset detecting the hot set itself salts exactly like the
+    in-process reference given that set, at several partition counts."""
+    from dataclasses import replace
+
+    import pyarrow.parquet as pq
 
     from light_curve_feature_ray.pipelines.rollup import (
         read_transcripts,
@@ -343,25 +344,77 @@ def test_actor_pool_worker_matches_tasks(ray_session):
     from light_curve_feature_ray.sources.synth import synth_transcripts_parquet
 
     d = synth_transcripts_parquet(
-        "/tmp/lcf_actor_pool_test/in", shards=2,
+        str(tmp_path / "in"), shards=2,
         n_convs=10, mean_turns=40, hot_convs=1, hot_turns=600, seed=31,
     )
     cfg = RollupConfig(
         features=("observation_count", "mean", "eta"),
-        num_partitions=6,
         hot_threshold=300,
         store_points=True,
     )
+    table = pq.read_table(d)
+    counts = table.group_by("conv_id").aggregate([("conv_id", "count")])
+    hot = counts.filter(pc.greater_equal(counts["conv_id_count"], 300))
+    hot = hot["conv_id"].to_pylist()
+    assert len(hot) == 1
 
-    def run(**kw):
-        df = rollup_dataset(read_transcripts(d), cfg, **kw).to_pandas()
-        return df.sort_values(["conv_id", "tier", "bucket_ts"]).reset_index(
-            drop=True
-        )
+    def srt(df):
+        return df.sort_values(["conv_id", "tier", "bucket_ts"]).reset_index(drop=True)
 
-    tasks = run()
-    actors = run(worker_concurrency=2)
-    pd.testing.assert_frame_equal(tasks, actors)
+    want = srt(rollup_table(table, cfg, hot_list=hot).to_pandas())
+    for parts in (2, 6):
+        got = rollup_dataset(
+            read_transcripts(d), replace(cfg, num_partitions=parts)
+        ).to_pandas()
+        pd.testing.assert_frame_equal(srt(got), want)
+
+
+def test_worker_cache_keys_on_hot_set_content(ray_session):
+    """Every rollup_dataset call broadcasts its hot set under a fresh
+    object ref; the per-process worker and hot-set caches key on the
+    set's content, so repeated calls leave one entry each, and distinct
+    sets never grow a cache past its bound."""
+    import ray
+
+    from light_curve_feature_ray.pipelines import rollup as rp
+    from light_curve_feature_ray.stages.rollup import DeriveAssign, pack_derived
+
+    cfg = RollupConfig(
+        features=("observation_count", "mean"), num_partitions=1, hot_threshold=None
+    )
+    tbl = synth_transcripts_table(n_convs=4, mean_turns=10, hot_convs=0, seed=5)
+    convs = sorted(set(tbl["conv_id"].to_pylist()))
+    hot = convs[:2]
+    packed = pack_derived(DeriveAssign(cfg, hot_list=hot)(tbl))
+
+    @ray.remote(num_cpus=0)
+    class Worker:
+        """One long-lived worker process running shipped task closures."""
+
+        def run(self, fn, batch):
+            from light_curve_feature_ray.pipelines import rollup
+
+            out = fn(batch)
+            return out, len(rollup._WORKER_CACHE), len(rollup._HOT_CACHE)
+
+    worker = Worker.remote()
+    outs = []
+    for order in (hot, hot[::-1], hot):
+        fn = rp._worker_fn(cfg, rp._broadcast_hot(order), None)
+        out, n_workers, n_hot = ray.get(worker.run.remote(fn, packed))
+        assert (n_workers, n_hot) == (1, 1)
+        outs.append(out)
+    assert outs[0].equals(outs[1]) and outs[0].equals(outs[2])
+    ray.kill(worker)
+
+    rp._WORKER_CACHE.clear()
+    rp._HOT_CACHE.clear()
+    for i in range(rp._CACHE_MAX + 3):
+        rp._worker_fn(cfg, rp._broadcast_hot([f"other-{i}"]), None)(packed)
+    assert len(rp._WORKER_CACHE) == rp._CACHE_MAX
+    assert len(rp._HOT_CACHE) == rp._CACHE_MAX
+    rp._WORKER_CACHE.clear()
+    rp._HOT_CACHE.clear()
 
 
 def test_auto_num_partitions_rule():
@@ -375,6 +428,64 @@ def test_auto_num_partitions_rule():
     assert auto_num_partitions(0, num_cpus=8) == 1
     # scales linearly with input at fixed cpus (100-TB posture)
     assert auto_num_partitions(953_000_000, num_cpus=32) == 9530
+
+
+def test_detect_hot_convs_exact(ray_session):
+    """The shuffle-free hot pre-pass is exact: a conv spread evenly over
+    every block at exactly the threshold is hot, one row fewer is not."""
+    import ray.data as rd
+
+    from light_curve_feature_ray.stages.rollup import detect_hot_convs
+
+    counts = {"spread": 40, "near": 39, "a": 7, "b": 1}
+    pool = {c: n for c, n in counts.items()}
+    convs = []
+    while any(pool.values()):  # round-robin: every block holds each conv
+        for c in counts:
+            if pool[c]:
+                convs.append(c)
+                pool[c] -= 1
+    ds = rd.from_arrow(pa.table({"conv_id": convs})).repartition(8)
+    assert sorted(detect_hot_convs(ds, 40)) == ["spread"]
+    assert sorted(detect_hot_convs(ds, 7)) == ["a", "near", "spread"]
+    assert sorted(detect_hot_convs(ds, 1)) == sorted(counts)
+    assert detect_hot_convs(ds, 41) == []
+
+
+def test_detect_hot_convs_many_blocks(ray_session, monkeypatch):
+    """Many blocks and a floor of 1-2 rows make nearly every conv a
+    candidate; the driver sum and the exchange fallback (taken above
+    HOT_DRIVER_ROWS partial rows) both give the exact hot set."""
+    from collections import Counter
+
+    import ray.data as rd
+
+    from light_curve_feature_ray.stages import rollup as stages
+
+    rng = np.random.default_rng(7)
+    convs = [f"c{i}" for i in rng.zipf(1.6, 3000) % 200]
+    ds = rd.from_arrow(pa.table({"conv_id": convs})).repartition(40).materialize()
+    counts = Counter(convs)
+    for threshold in (20, 60):
+        want = sorted(c for c, n in counts.items() if n >= threshold)
+        assert len(want) > 1
+        assert sorted(stages.detect_hot_convs(ds, threshold)) == want
+        monkeypatch.setattr(stages, "HOT_DRIVER_ROWS", 0)
+        assert sorted(stages.detect_hot_convs(ds, threshold)) == want
+        monkeypatch.undo()
+
+
+def test_auto_num_blocks_rule():
+    from light_curve_feature_ray.stages.rollup import ROWS_PER_BLOCK, auto_num_blocks
+
+    # 4 blocks per CPU for inputs up to 4 x CPUs x ROWS_PER_BLOCK rows
+    assert auto_num_blocks(120_000, num_cpus=1) == 4
+    assert auto_num_blocks(9_534_677, num_cpus=32) == 128
+    assert auto_num_blocks(0, num_cpus=4) == 16
+    # beyond that the rows-per-block ceiling sets the count: blocks stay
+    # bounded at any input size
+    assert auto_num_blocks(9_534_677, num_cpus=4) == -(-9_534_677 // ROWS_PER_BLOCK)
+    assert auto_num_blocks(10**9, num_cpus=8) == 10**9 // ROWS_PER_BLOCK
 
 
 def test_auto_partitions_resolution(ray_session):

@@ -164,6 +164,7 @@ def test_update_rollup_job(ray_session, tmp_path):
     from light_curve_feature_ray.pipelines.rollup import rollup_dataset
     from light_curve_feature_ray.pipelines.update import update_rollup_job
     from light_curve_feature_ray.state.checkpoint import (
+        job_report,
         read_rollup_output,
         run_rollup_job,
     )
@@ -201,6 +202,12 @@ def test_update_rollup_job(ray_session, tmp_path):
     updated = read_rollup_output(out_dir).to_pandas()
     full = rollup_dataset(rd.from_arrow(tbl).repartition(4), cfg).to_pandas()
     _assert_same(full, updated)
+    # manifest stage records stay cumulative: every turn ingested (job
+    # input + delta) is counted once, and the distinct ones are the 1m points
+    stage = job_report(out_dir)["stage"]
+    assert stage["rows_in"] == tbl.num_rows
+    n_1m = int(updated.loc[updated["tier"] == "1m", "n_points"].sum())
+    assert stage["rows_in"] - stage["dups_dropped"] == n_1m
 
     # idempotent rerun: same delta -> nothing rewritten
     res2 = update_rollup_job(out_dir, delta_path)
