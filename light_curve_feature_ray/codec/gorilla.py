@@ -16,15 +16,17 @@ stored in an Arrow ``binary`` column:
 
 The encoder is vectorized: each point maps to a (payload, bit-length) token
 pair computed with numpy; tokens are materialized through a bit matrix and
-``np.packbits``. The decoder walks the bitstream with a compact state loop
-over ``np.unpackbits`` output (decode is off the hot path: the tier cascade
-computes holistic features from in-memory raw points, and only readers /
-resume paths decode).
+``np.packbits``. The decoder reads tokens with shifts of a big-endian Python
+int over a window of the blob, one call per blob (decode is off the rollup
+hot path: the tier cascade computes holistic features from in-memory raw
+points; readers and the incremental update decode).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_MASK64 = (1 << 64) - 1
 
 _DOD_RANGES = (
     (7, 0b10, 2, 63),  # 7-bit payload, prefix '10'
@@ -438,67 +440,78 @@ def encode_segments_arrow(ts: np.ndarray, values: np.ndarray, starts: np.ndarray
     )
 
 
-class _BitReader:
-    __slots__ = ("bits", "pos")
-
-    def __init__(self, data: bytes):
-        self.bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        self.pos = 0
-
-    def read(self, n: int) -> int:
-        b = self.bits[self.pos : self.pos + n]
-        self.pos += n
-        out = 0
-        for bit in b:
-            out = (out << 1) | int(bit)
-        return out
-
-    def read1(self) -> int:
-        v = int(self.bits[self.pos])
-        self.pos += 1
-        return v
+#: bytes of the blob held in one Python int while decoding: shifts cost
+#: O(window), so a long blob is walked in windows instead of one huge int
+_WINDOW_BYTES = 256
+#: refill when fewer bits than this are left in the window (one point's
+#: longest timestamp token is 69 bits, its longest value token 77)
+_REFILL_BITS = 160
 
 
 def decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Decode back to (int64 timestamps, float64 values)."""
-    r = _BitReader(data)
-    n = r.read(64)
-    ts = np.empty(n, dtype=np.int64)
-    values = np.empty(n, dtype=np.uint64)
+    """Decode back to (int64 timestamps, float64 values).
+
+    Bits are read with shifts of a big-endian Python int over a window of
+    the blob (zero-padded so a read never runs past the end). Timestamps
+    accumulate modulo 2**64, the inverse of the encoder's wrapping int64
+    deltas, so any int64 series round-trips."""
+    buf = bytes(data) + bytes(_REFILL_BITS // 8)
+
+    def window(pos: int) -> tuple[int, int]:
+        """The window starting at the byte holding bit ``pos``, and the
+        bit offset just past it."""
+        first = pos // 8
+        chunk = buf[first : first + _WINDOW_BYTES]
+        return int.from_bytes(chunk, "big"), (first + len(chunk)) * 8
+
+    word, end = window(0)
+    n = word >> (end - 64)
     if n == 0:
-        return ts, values.view(np.float64)
-    ts[0] = np.int64(np.uint64(r.read(64)))
-    values[0] = r.read(64)
-    # timestamps
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    pos = 192
+    head = (word >> (end - pos)) & ((1 << 128) - 1)
+    t, v = head >> 64, head & _MASK64
+    ts, vals = [t] * n, [v] * n
     delta = 0
     for i in range(1, n):
-        if r.read1() == 0:
-            dod = 0
-        elif r.read1() == 0:
-            dod = r.read(7) - (1 << 6)
-        elif r.read1() == 0:
-            dod = r.read(9) - (1 << 8)
-        elif r.read1() == 0:
-            dod = r.read(12) - (1 << 11)
-        elif r.read1() == 0:
-            dod = r.read(32) - (1 << 31)
-        else:
-            raw = r.read(64)
-            dod = raw - (1 << 64) if raw >= (1 << 63) else raw
-        delta += dod
-        ts[i] = ts[i - 1] + delta
-    # values
-    prev = int(values[0])
+        if end - pos < _REFILL_BITS:
+            word, end = window(pos)
+        ctl = (word >> (end - pos - 5)) & 31
+        if ctl < 16:  # '0': delta unchanged
+            pos += 1
+        elif ctl < 24:  # '10' + 7 bits
+            pos += 9
+            delta += ((word >> (end - pos)) & 0x7F) - (1 << 6)
+        elif ctl < 28:  # '110' + 9 bits
+            pos += 12
+            delta += ((word >> (end - pos)) & 0x1FF) - (1 << 8)
+        elif ctl < 30:  # '1110' + 12 bits
+            pos += 16
+            delta += ((word >> (end - pos)) & 0xFFF) - (1 << 11)
+        elif ctl == 30:  # '11110' + 32 bits
+            pos += 37
+            delta += ((word >> (end - pos)) & 0xFFFFFFFF) - (1 << 31)
+        else:  # '11111' + raw 64 bits (two's complement: mod 2**64 as is)
+            pos += 69
+            delta += (word >> (end - pos)) & _MASK64
+        t = (t + delta) & _MASK64
+        ts[i] = t
     for i in range(1, n):
-        if r.read1() == 0:
-            values[i] = prev
-            continue
-        ctrl = r.read1()
-        assert ctrl == 1, "encoder always emits explicit windows"
-        lead = r.read(5)
-        mlen = r.read(6) + 1
-        meaningful = r.read(mlen)
-        trail = 64 - lead - mlen
-        prev = prev ^ (meaningful << trail)
-        values[i] = prev
-    return ts, values.view(np.float64)
+        if end - pos < _REFILL_BITS:
+            word, end = window(pos)
+        ctl = (word >> (end - pos - 13)) & 0x1FFF
+        if ctl >> 12:  # '11' + 5-bit lead + 6-bit (length - 1) + bits
+            if ctl >> 11 != 0b11:
+                raise ValueError("corrupt Gorilla blob: expected a '11' XOR window")
+            mlen = (ctl & 63) + 1
+            pos += 13 + mlen
+            v ^= ((word >> (end - pos)) & ((1 << mlen) - 1)) << (
+                64 - ((ctl >> 6) & 31) - mlen
+            )
+        else:  # '0': same value
+            pos += 1
+        vals[i] = v
+    return (
+        np.array(ts, dtype=np.uint64).view(np.int64),
+        np.array(vals, dtype=np.uint64).view(np.float64),
+    )

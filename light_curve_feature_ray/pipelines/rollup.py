@@ -87,6 +87,11 @@ def _resolve_hot(hot) -> list | None:
     return got if got is not None else _cache_put(_HOT_CACHE, key, ray.get(ref))
 
 
+def _worker_key(config: RollupConfig, hot) -> str:
+    """Cache key of a worker: the config dict plus the hot-set digest."""
+    return json.dumps(config.to_dict(), sort_keys=True) + ":" + (hot[0] if hot else "")
+
+
 def _cached_worker(key: str, config: RollupConfig, hot) -> RollupWorker:
     worker = _WORKER_CACHE.get(key)
     if worker is None:
@@ -103,7 +108,7 @@ def _derive_fn(config: RollupConfig, hot):
 
 
 def _worker_fn(config: RollupConfig, hot, sink):
-    key = json.dumps(config.to_dict(), sort_keys=True) + ":" + (hot[0] if hot else "")
+    key = _worker_key(config, hot)
 
     def fn(batch: pa.Table) -> pa.Table:
         worker = _cached_worker(key, config, hot)

@@ -3,23 +3,29 @@ into an existing tier store without recomputing untouched conversations.
 
 The tier cascade derives 1h/1d from the per-minute series, and the 1m
 tier stores each bucket's raw (ts, m) points Gorilla-compressed — so the
-1m tier IS the engine's state store.  ``rollup_update`` therefore:
+1m tier IS the engine's state store. Both entry points derive the delta
+exactly like the full pipeline (``DeriveAssign``: text -> m, salted
+partition assignment), decode the affected conversations' old 1m points
+back into (ts, m) rows (:func:`_old_points`) and re-run the unmodified
+``RollupWorker`` kernel over old points + delta
+(:func:`_recompute_partition`), so every invariant (dedup settle rule,
+salt-window gap-fill truncation, partition invariance) holds by
+construction and recomputed bytes — including the Gorilla points column
+— are identical to a full run.
 
-1. derives the delta exactly like the full pipeline (``DeriveAssign``:
-   text -> m, salted partition assignment);
-2. computes the affected conversation set (distinct delta conv_ids,
-   broadcast once via ``ray.put`` under a loud ``max_update_convs``
-   bound);
-3. streams the old tier rows once as pure PASSTHROUGH for unaffected
-   conversations (no decode, no recompute — at 100 TB this is the vast
-   majority of rows, moving straight from read to write);
-4. streams the old 1m rows of affected conversations a second time,
-   decoding their Gorilla points back into (ts, m) rows that join the
-   delta in the SAME salted hash exchange the full pipeline uses;
-5. re-runs the unmodified ``RollupWorker`` kernel per partition, so
-   every invariant (dedup settle rule, salt-window gap-fill truncation,
-   partition invariance) holds by construction, and recomputed bytes —
-   including the Gorilla points column — are identical to a full run.
+- ``rollup_update`` works on Datasets of tier rows: unaffected
+  conversations pass through undecoded, affected ones meet the delta in
+  one salted hash exchange.
+- ``update_rollup_job`` works on a ``run_rollup_job`` store and uses no
+  Dataset at all. It ROUTES instead of scanning: a partition's tier rows
+  for a conversation depend only on that conversation's rows routed to
+  the partition (``hash % P`` for normal conversations, the salted
+  (conv, day-window) key for hot ones, and gap-fill truncates at salt
+  windows), so the partitions a delta touches are exactly the ``part``
+  values of the derived delta. One ``_derive`` task per delta file
+  derives and routes it; one ``_fold_part`` task per touched partition
+  decodes that partition's old points of the delta's conversations,
+  recomputes them and rewrites the partition file.
 
 Update contract (documented, tested):
 
@@ -38,9 +44,13 @@ Update contract (documented, tested):
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 
@@ -52,14 +62,22 @@ from ..stages.rollup import (
     assign_parts,
     hash_strings,
 )
+from ..state.checkpoint import (
+    _manifest_path,
+    _write_partition,
+    completed_partitions,
+)
+from .rollup import (
+    INPUT_COLUMNS,
+    _broadcast_hot,
+    _cached_worker,
+    _resolve_hot,
+    _worker_key,
+)
 
 US_PER_MIN = 60 * 1_000_000
 _DELTA_OFFSET = np.int64(2) ** 31
 _POS_BITS = 21  # max 2**21 points per (conv, minute) bucket in okey
-
-
-def _exchange_schema(batch_like: dict) -> pa.Table:
-    return pa.table(batch_like)
 
 
 def _delta_prep(batch: pa.Table) -> pa.Table:
@@ -67,7 +85,7 @@ def _delta_prep(batch: pa.Table) -> pa.Table:
     turn = batch["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
     if turn.size and (turn.min() < 0 or turn.max() >= _DELTA_OFFSET):
         raise ValueError("delta turn_idx must be in [0, 2**31)")
-    return _exchange_schema(
+    return pa.table(
         {
             "conv_id": batch["conv_id"],
             "ts_us": batch["ts_us"],
@@ -88,11 +106,62 @@ def _passthrough_fn(conv_ref):
     return fn
 
 
+def _old_points(sel: pa.Table, config: RollupConfig, hot: set) -> pa.Table:
+    """Old 1m tier rows -> decoded exchange rows (src=0, okey =
+    minute_slot * 2**21 + in-bucket position: unique per conv and ordered
+    exactly like the original turn order, since points are encoded in
+    turn order within each slot-sorted bucket), routed like the delta."""
+    if sel.num_rows == 0:
+        return pa.table(
+            {
+                "conv_id": pc.dictionary_encode(pa.array([], pa.string())),
+                "ts_us": pa.array([], pa.int64()),
+                "m": pa.array([], pa.float64()),
+                "part": pa.array([], pa.int32()),
+                "src": pa.array([], pa.int8()),
+                "okey": pa.array([], pa.int64()),
+            }
+        )
+    conv_col = sel["conv_id"].cast(pa.string())
+    slot = sel["bucket_ts"].cast(pa.int64()).to_numpy() // US_PER_MIN
+    decoded = [gorilla.decode(blob) for blob in sel["points"].to_pylist()]
+    sizes = np.array([ts.size for ts, _ in decoded], dtype=np.int64)
+    if sizes.max() >= (1 << _POS_BITS):
+        raise ValueError(
+            f"bucket with {sizes.max()} points exceeds the okey "
+            f"position budget (2**{_POS_BITS})"
+        )
+    ts_all = np.concatenate([ts for ts, _ in decoded])
+    m_all = np.concatenate([m for _, m in decoded])
+    idx = np.repeat(np.arange(sizes.size), sizes)
+    # position within the bucket = running index - the bucket's first index
+    pos = np.arange(ts_all.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    conv_out = conv_col.combine_chunks().take(pa.array(idx))
+    h = hash_strings(conv_out)
+    part = assign_parts(
+        conv_out.to_numpy(zero_copy_only=False) if hot else np.empty(0),
+        h,
+        ts_all,
+        config,
+        hot,
+    )
+    return pa.table(
+        {
+            # dictionary-encoded to match DeriveAssign's delta schema
+            # (union requires identical types) and to shrink the
+            # exchange payload the same way
+            "conv_id": pc.dictionary_encode(conv_out),
+            "ts_us": pa.array(ts_all.astype(np.int64)),
+            "m": pa.array(m_all.astype(np.float64)),
+            "part": pa.array(part, type=pa.int32()),
+            "src": pa.array(np.zeros(ts_all.size, dtype=np.int8)),
+            "okey": pa.array((slot[idx] << _POS_BITS) + pos),
+        }
+    )
+
+
 def _extract_points_fn(conv_ref, config: RollupConfig, hot_ref):
-    """Old 1m rows of affected convs -> decoded exchange rows (src=0,
-    okey = minute_slot * 2**21 + in-bucket position: unique per conv and
-    ordered exactly like the original turn order, since points are
-    encoded in turn order within each slot-sorted bucket)."""
+    """Keep the old 1m rows of affected convs, then :func:`_old_points`."""
 
     def fn(batch: pa.Table) -> pa.Table:
         convs = ray.get(conv_ref)
@@ -101,60 +170,7 @@ def _extract_points_fn(conv_ref, config: RollupConfig, hot_ref):
             pc.equal(batch["tier"], "1m"),
             pc.is_in(batch["conv_id"], value_set=convs),
         )
-        sel = batch.filter(mask)
-        empty = {
-            "conv_id": pc.dictionary_encode(pa.array([], pa.string())),
-            "ts_us": pa.array([], pa.int64()),
-            "m": pa.array([], pa.float64()),
-            "part": pa.array([], pa.int32()),
-            "src": pa.array([], pa.int8()),
-            "okey": pa.array([], pa.int64()),
-        }
-        if sel.num_rows == 0:
-            return _exchange_schema(empty)
-        conv_col = sel["conv_id"].cast(pa.string())
-        bucket_us = sel["bucket_ts"].cast(pa.int64()).to_numpy()
-        blobs = sel["points"].to_pylist()
-        ts_parts, m_parts, conv_idx, okeys = [], [], [], []
-        for i, blob in enumerate(blobs):
-            ts, m = gorilla.decode(blob)
-            if ts.size >= (1 << _POS_BITS):
-                raise ValueError(
-                    f"bucket with {ts.size} points exceeds the okey "
-                    f"position budget (2**{_POS_BITS})"
-                )
-            slot = bucket_us[i] // US_PER_MIN
-            ts_parts.append(ts)
-            m_parts.append(m)
-            conv_idx.append(np.full(ts.size, i, dtype=np.int64))
-            okeys.append(
-                (slot << _POS_BITS) + np.arange(ts.size, dtype=np.int64)
-            )
-        ts_all = np.concatenate(ts_parts)
-        m_all = np.concatenate(m_parts)
-        idx = np.concatenate(conv_idx)
-        conv_out = conv_col.combine_chunks().take(pa.array(idx))
-        h = hash_strings(conv_out)
-        part = assign_parts(
-            conv_out.to_numpy(zero_copy_only=False) if hot else np.empty(0),
-            h,
-            ts_all,
-            config,
-            hot,
-        )
-        return _exchange_schema(
-            {
-                # dictionary-encoded to match DeriveAssign's delta schema
-                # (union requires identical types) and to shrink the
-                # exchange payload the same way
-                "conv_id": pc.dictionary_encode(conv_out),
-                "ts_us": pa.array(ts_all.astype(np.int64)),
-                "m": pa.array(m_all.astype(np.float64)),
-                "part": pa.array(part, type=pa.int32()),
-                "src": pa.array(np.zeros(ts_all.size, dtype=np.int8)),
-                "okey": pa.array(np.concatenate(okeys)),
-            }
-        )
+        return _old_points(batch.filter(mask), config, hot)
 
     return fn
 
@@ -282,26 +298,92 @@ def rollup_update(
     return passthrough.union(recomputed)
 
 
-def _stage(out_dir: str, part: int, batch: pa.Table, worker: RollupWorker):
-    """Stage record of a rewritten partition: the previous manifest's plus
-    this fold's. ``rows_in`` adds the delta's turns only (the replayed old
-    points were counted when they were ingested); ``dups_dropped`` adds the
-    delta's duplicates (old points never collide with delta turn_idx);
-    ``gap_filled`` and the worker seconds add this recompute's work, so a
-    recomputed conversation's fills count once per write."""
-    import json
-    import os
-
-    from ..state.checkpoint import _manifest_path
-
+def _stage(prev: dict, batch: pa.Table, worker: RollupWorker) -> dict:
+    """Stage record of a rewritten partition: the previous manifest's
+    (``prev``) plus this fold's. ``rows_in`` adds the delta's turns only
+    (the replayed old points were counted when they were ingested);
+    ``dups_dropped`` adds the delta's duplicates (old points never collide
+    with delta turn_idx); ``gap_filled`` and the worker seconds add this
+    recompute's work, so a recomputed conversation's fills count once per
+    write."""
     stage = dict(worker.last_stats)
     stage["rows_in"] = int(pc.sum(pc.equal(batch["src"], 1)).as_py() or 0)
-    path = _manifest_path(out_dir, part)
+    return {k: prev.get(k, 0) + v for k, v in stage.items()}
+
+
+@ray.remote(num_returns=2)
+def _derive(path: str, config: RollupConfig, hot, max_convs: int):
+    """One delta file -> (its derived exchange rows, (its sorted distinct
+    ``part`` ids, at most ``max_convs + 1`` of its distinct conv_ids —
+    enough for the driver's bound check)). The rows stay in the object
+    store for the fold tasks; the driver fetches only the second value."""
+    table = pq.read_table(path, columns=INPUT_COLUMNS)
+    if table.num_rows == 0:  # routes nothing (its columns may be null-typed)
+        return table, ([], pa.array([], pa.string()))
+    derived = _delta_prep(DeriveAssign(config, hot_list=_resolve_hot(hot))(table))
+    convs = pc.unique(table["conv_id"].cast(pa.string())).slice(0, max_convs + 1)
+    return derived, (sorted(pc.unique(derived["part"]).to_pylist()), convs)
+
+
+@ray.remote
+def _fold_part(
+    out_dir: str,
+    part: int,
+    delta_path: str,
+    lineage: dict,
+    config: RollupConfig,
+    hot,
+    *derived: pa.Table,
+):
+    """Fold the delta rows routed to ``part`` (from the ``derived`` tables
+    of the delta files that route rows here) into ``part=<part>``: replay
+    the old 1m points of the delta's conversations in this file, recompute
+    them with the cached worker and rewrite the file. Returns
+    ``(part, rows written)``, or ``(part, None)`` when the partition's
+    manifest already lists ``delta_path`` (idempotent rerun)."""
+    manifest = None
+    if os.path.exists(_manifest_path(out_dir, part)):
+        with open(_manifest_path(out_dir, part)) as f:
+            manifest = json.load(f)
+    chain = manifest["lineage"].get("deltas", []) if manifest else []
+    if delta_path in chain:
+        return part, None
+    rows = pa.concat_tables([d.filter(pc.equal(d["part"], part)) for d in derived])
+    hot_set = set(_resolve_hot(hot) or ())
+    path = os.path.join(out_dir, f"part={part}", "data.parquet")
+    kept, sel = None, pa.table({})
     if os.path.exists(path):
-        with open(path) as f:
-            prev = json.load(f).get("stage", {})
-        stage = {k: prev.get(k, 0) + v for k, v in stage.items()}
-    return stage
+        old = pq.read_table(path)
+        convs = pc.unique(rows["conv_id"].cast(pa.string()))
+        mine = pc.is_in(old["conv_id"], value_set=convs)
+        kept = old.filter(pc.invert(mine))
+        sel = old.filter(pc.and_(mine, pc.equal(old["tier"], "1m")))
+    points = _old_points(sel, config, hot_set)
+    if pc.any(pc.not_equal(points["part"], part)).as_py():
+        raise RuntimeError(
+            f"partition {part} holds points that now route elsewhere: the "
+            "store's partition assignment differs from this process's"
+        )
+    batch = pa.concat_tables([rows, points])
+    worker = _cached_worker(_worker_key(config, hot), config, hot)
+    rec = _recompute_partition(batch, worker)
+    prev = manifest.get("stage", {}) if manifest else {}
+    written = _write_partition(
+        rec if kept is None else pa.concat_tables([kept, rec]),
+        out_dir,
+        part,
+        dict(lineage, deltas=chain + [delta_path]),
+        _stage(prev, batch, worker),
+    )
+    return part, written["rows"]
+
+
+def _delta_files(delta_path: str) -> list[str]:
+    """The parquet files of a delta: the file itself, or every data file
+    under a directory (names starting with ``.`` or ``_`` are skipped)."""
+    import pyarrow.dataset as pads
+
+    return sorted(pads.dataset(delta_path, format="parquet").files)
 
 
 def update_rollup_job(
@@ -310,35 +392,29 @@ def update_rollup_job(
     *,
     max_update_convs: int = 2_000_000,
 ):
-    """Fold a delta of new turns into a CHECKPOINTED tier store on disk
-    (the ``run_rollup_job`` output layout), rewriting ONLY the partitions
-    that contain affected conversations plus any partitions the delta
-    newly creates — unaffected partition files are never read beyond
-    their conv_id column, never rewritten.
+    """Fold a delta of new turns (a parquet file or a directory of them)
+    into a CHECKPOINTED tier store on disk (the ``run_rollup_job`` output
+    layout), rewriting ONLY the partitions the delta routes rows to —
+    every other partition file is neither read nor rewritten.
+
+    Plain Ray tasks, no Dataset execution: one ``_derive`` task per delta
+    file derives and routes its rows with the store's config and recorded
+    hot set (from ``_job.json``) and reports its ``part`` ids and
+    conv_ids; the driver holds only those ids and checks the distinct
+    conversations against ``max_update_convs`` before anything is
+    written. Then one ``_fold_part`` task per touched partition receives
+    the derived tables of the files that route rows to it, and folds
+    them in (see the module docs for why routing finds every affected
+    row).
 
     Resumable + idempotent per partition: each rewritten partition's
     manifest lineage records the applied delta chain; re-running the same
-    delta skips partitions that already carry it (atomic temp+rename
-    writes, manifest last — a crash mid-update leaves a store where every
-    partition is either fully old or fully updated, and a rerun finishes
-    the rest).
-
-    The stored ``_job.json`` lineage supplies the original config and hot
-    set, so partition assignment replays identically."""
-    import json
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ..pipelines.rollup import drop_parts, read_transcripts
-    from ..state.checkpoint import (
-        _manifest_path,
-        _summary_row,
-        _write_partition,
-        completed_partitions,
-    )
-
+    delta skips partitions that already carry it, so a rerun after a
+    crash between two partitions finishes the rest. A crash between one
+    partition's data write and its manifest write is NOT covered: the
+    new data sits under the old manifest and a rerun folds the delta
+    into it a second time. ``_job.json`` records the delta once every
+    partition has it; an empty delta changes nothing."""
     job_path = os.path.join(out_dir, "_job.json")
     with open(job_path) as f:
         prior = json.load(f)
@@ -347,105 +423,38 @@ def update_rollup_job(
         raise ValueError(
             "update_rollup_job needs a store built with store_points=True"
         )
-    hot = prior.get("hot") or []
-    delta = read_transcripts(delta_path)
-    # Dataset.unique returns None (not []) on an empty dataset; an empty
-    # delta is a valid no-op update — every partition stays untouched.
-    convs = delta.unique("conv_id") or []
-    if not convs:
+    hot = _broadcast_hot(prior.get("hot") or [])
+    derived = [
+        _derive.remote(path, config, hot, max_update_convs)
+        for path in _delta_files(delta_path)
+    ]
+    routed: dict[int, list] = {}
+    convs: set = set()
+    for rows_ref, ids_ref in derived:
+        parts, file_convs = ray.get(ids_ref)
+        convs.update(file_convs.to_pylist())
+        if len(convs) > max_update_convs:
+            raise ValueError(
+                f"delta touches more than max_update_convs={max_update_convs} "
+                "conversations; split the delta or raise the bound"
+            )
+        for p in parts:
+            routed.setdefault(p, []).append(rows_ref)
+    done = sorted(completed_partitions(out_dir))
+    if not routed:
         return {
             "partitions_rewritten": [],
             "partitions_skipped_applied": [],
-            "partitions_untouched": sorted(completed_partitions(out_dir)),
+            "partitions_untouched": done,
             "rows_written": 0,
         }
-    if len(convs) > max_update_convs:
-        raise ValueError(
-            f"delta touches {len(convs)} conversations > max_update_convs="
-            f"{max_update_convs}"
-        )
-    conv_ref = ray.put(pa.array(sorted(convs), type=pa.string()))
-    hot_ref = ray.put(list(hot)) if hot else None
-
-    def _file(p: int) -> str:
-        return os.path.join(out_dir, f"part={p}", "data.parquet")
-
-    done = sorted(completed_partitions(out_dir))
-
-    # which existing partitions contain affected conversations? One
-    # column-pruned conv_id scan per partition file, fanned out as tasks.
-    @ray.remote
-    def _scan(part: int, path: str, conv_set):
-        # conv_set arrives deref'd: Ray resolves ObjectRef args in tasks
-        import pyarrow.compute as pcc
-        import pyarrow.parquet as pqq
-
-        col = pqq.read_table(path, columns=["conv_id"])["conv_id"]
-        hit = pcc.any(pcc.is_in(col, value_set=conv_set)).as_py()
-        return part if hit else None
-
-    hits = ray.get([_scan.remote(p, _file(p), conv_ref) for p in done])
-    affected_old = {p for p in hits if p is not None}
-
-    # idempotency: skip partitions whose manifest already carries this delta
-    applied, prior_deltas = set(), {}
-    for p in affected_old:
-        with open(_manifest_path(out_dir, p)) as f:
-            mf = json.load(f)
-        chain = mf.get("lineage", {}).get("deltas", [])
-        prior_deltas[p] = chain
-        if delta_path in chain:
-            applied.add(p)
-    pending_old = sorted(affected_old - applied)
-
-    derived = delta.map_batches(
-        DeriveAssign(config, hot_list=hot or None),
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
-    ).map_batches(_delta_prep, batch_format="pyarrow", batch_size=None)
-    if applied:
-        derived = drop_parts(derived, applied)
-    merged = derived
-    if pending_old:
-        old_points = rd.read_parquet(
-            [_file(p) for p in pending_old]
-        ).map_batches(
-            _extract_points_fn(conv_ref, config, hot_ref),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        merged = derived.union(old_points)
-
-    lineage_base = {"input": prior["input"], "config": prior["config"]}
-    deltas_ref = ray.put(prior_deltas)
-
-    def write_part(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _summary_row(None)
-        part = int(batch["part"][0].as_py())
-        hot_l = list(ray.get(hot_ref)) if hot_ref is not None else None
-        worker = RollupWorker(config, hot_list=hot_l)
-        rec = _recompute_partition(batch, worker)
-        path = _file(part)
-        if os.path.exists(path):
-            oldt = pq.read_table(path)
-            keep = pc.invert(
-                pc.is_in(oldt["conv_id"], value_set=ray.get(conv_ref))
-            )
-            combined = pa.concat_tables([oldt.filter(keep), rec])
-        else:
-            combined = rec
-        lineage = dict(lineage_base)
-        lineage["deltas"] = ray.get(deltas_ref).get(part, []) + [delta_path]
-        manifest = _write_partition(
-            combined, out_dir, part, lineage, _stage(out_dir, part, batch, worker)
-        )
-        return _summary_row(part, manifest["rows"])
-
-    manifests = merged.groupby("part").map_groups(
-        write_part, batch_format="pyarrow"
-    ).to_pandas()
+    lineage = {"input": prior["input"], "config": prior["config"]}
+    folded = ray.get(
+        [
+            _fold_part.remote(out_dir, p, delta_path, lineage, config, hot, *refs)
+            for p, refs in sorted(routed.items())
+        ]
+    )
     chain = prior.get("deltas", [])
     if delta_path not in chain:
         prior["deltas"] = chain + [delta_path]
@@ -453,12 +462,11 @@ def update_rollup_job(
         with open(tmp, "w") as f:
             json.dump(prior, f)
         os.replace(tmp, job_path)
-    written = (
-        sorted(manifests["partition"].tolist()) if len(manifests) else []
-    )
+    written = sorted(p for p, rows in folded if rows is not None)
+    applied = sorted(p for p, rows in folded if rows is None)
     return {
         "partitions_rewritten": written,
-        "partitions_skipped_applied": sorted(applied),
-        "partitions_untouched": sorted(set(done) - set(written) - applied),
-        "rows_written": int(manifests["rows"].sum()) if len(manifests) else 0,
+        "partitions_skipped_applied": applied,
+        "partitions_untouched": sorted(set(done) - set(routed)),
+        "rows_written": sum(rows for _, rows in folded if rows is not None),
     }

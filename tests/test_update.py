@@ -5,6 +5,8 @@ under the append contract, across gap-fill modes, salted hot convs,
 passthrough convs, brand-new convs, intra-delta duplicates and late
 timestamps."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -152,13 +154,54 @@ def test_update_guards(ray_session):
         rollup_update(ds, ds, _cfg(), max_update_convs=1)
 
 
+def _job_store(tmp_path, df: pd.DataFrame, delta_mask, cfg, delta_files=1):
+    """Write the old turns, build a job store from them, and write the
+    delta as one file or as a directory of ``delta_files`` files."""
+    import pyarrow.parquet as pq
+
+    from light_curve_feature_ray.state.checkpoint import run_rollup_job
+
+    old_path = str(tmp_path / "old.parquet")
+    pq.write_table(
+        pa.Table.from_pandas(df[~delta_mask], preserve_index=False), old_path
+    )
+    delta = pa.Table.from_pandas(df[delta_mask], preserve_index=False)
+    if delta_files == 1:
+        delta_path = str(tmp_path / "delta.parquet")
+        pq.write_table(delta, delta_path)
+    else:
+        delta_path = str(tmp_path / "delta")
+        os.makedirs(delta_path)
+        bounds = np.linspace(0, delta.num_rows, delta_files + 1).astype(int)
+        for i in range(delta_files):
+            pq.write_table(
+                delta.slice(bounds[i], bounds[i + 1] - bounds[i]),
+                os.path.join(delta_path, f"part-{i}.parquet"),
+            )
+    out_dir = str(tmp_path / "store")
+    run_rollup_job(old_path, out_dir, cfg)
+    return out_dir, delta_path
+
+
+def _files(out_dir: str) -> dict:
+    """Every file under the store: path -> (bytes, mtime_ns)."""
+    out = {}
+    for root, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as f:
+                out[path] = (f.read(), os.stat(path).st_mtime_ns)
+    return out
+
+
+def _data_file(out_dir: str, p: int) -> str:
+    return os.path.join(out_dir, f"part={p}", "data.parquet")
+
+
 def test_update_rollup_job(ray_session, tmp_path):
     """Job-level incremental update: only affected partitions rewritten
     (byte-untouched otherwise), result equals a full recompute, rerunning
     the same delta is a no-op (idempotent via manifest delta chains)."""
-    import os
-
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from light_curve_feature_ray.pipelines.rollup import rollup_dataset
@@ -166,7 +209,6 @@ def test_update_rollup_job(ray_session, tmp_path):
     from light_curve_feature_ray.state.checkpoint import (
         job_report,
         read_rollup_output,
-        run_rollup_job,
     )
 
     tbl = synth_transcripts_table(
@@ -174,28 +216,19 @@ def test_update_rollup_job(ray_session, tmp_path):
     )
     df = tbl.to_pandas()
     mask = _suffix_mask(df, 0.3, only_even_convs=True)
-    old_path = str(tmp_path / "old.parquet")
-    delta_path = str(tmp_path / "delta.parquet")
-    pq.write_table(
-        pa.Table.from_pandas(df[~mask], preserve_index=False), old_path
-    )
-    pq.write_table(
-        pa.Table.from_pandas(df[mask], preserve_index=False), delta_path
-    )
-    out_dir = str(tmp_path / "store")
     cfg = _cfg()
-    run_rollup_job(old_path, out_dir, cfg)
+    out_dir, delta_path = _job_store(tmp_path, df, mask, cfg)
 
     before = {
-        p: open(f"{out_dir}/part={p}/data.parquet", "rb").read()
+        p: open(_data_file(out_dir, p), "rb").read()
         for p in range(cfg.num_partitions)
-        if os.path.exists(f"{out_dir}/part={p}/data.parquet")
+        if os.path.exists(_data_file(out_dir, p))
     }
     res = update_rollup_job(out_dir, delta_path)
     assert res["partitions_rewritten"]
     assert not res["partitions_skipped_applied"]
     for p in res["partitions_untouched"]:
-        after = open(f"{out_dir}/part={p}/data.parquet", "rb").read()
+        after = open(_data_file(out_dir, p), "rb").read()
         assert after == before[p], f"partition {p} should be byte-untouched"
 
     # read_rollup_output drops the hive-inferred `part` path column itself
@@ -217,6 +250,157 @@ def test_update_rollup_job(ray_session, tmp_path):
     )
     again = read_rollup_output(out_dir).to_pandas()
     _assert_same(full, again)
+
+
+def test_update_rollup_job_salted_hot_conv(ray_session, tmp_path):
+    """Routing, not scanning: a delta that touches one day window of a
+    salted hot conv rewrites exactly the partitions its derived rows route
+    to. The hot conv's other windows live in partitions that stay
+    byte-identical with their mtimes, and the store equals a full rebuild
+    with the recorded hot set."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from light_curve_feature_ray.pipelines.rollup import rollup_table
+    from light_curve_feature_ray.pipelines.update import update_rollup_job
+    from light_curve_feature_ray.stages.rollup import DeriveAssign
+    from light_curve_feature_ray.state.checkpoint import read_rollup_output
+
+    tbl = synth_transcripts_table(
+        n_convs=12, mean_turns=30, hot_convs=1, hot_turns=3000, seed=5
+    )
+    df = tbl.to_pandas()
+    hot_id = df.groupby("conv_id").size().idxmax()
+    is_hot = (df["conv_id"] == hot_id).to_numpy()
+    turn = df["turn_idx"].to_numpy()
+    day = df["ts"].to_numpy().astype("datetime64[D]")
+    # the hot conv's last turns that fall on its last day: one salt window
+    hot_delta = (
+        is_hot
+        & (turn > turn[is_hot].max() - 40)
+        & (day == day[is_hot].max())
+    )
+    mask = (_suffix_mask(df, 0.3, only_even_convs=True) & ~is_hot) | hot_delta
+    assert hot_delta.sum() > 5 and (mask & ~is_hot).any()
+    cfg = _cfg(hot_threshold=1000, salt_window_days=1)
+    out_dir, delta_path = _job_store(tmp_path, df, mask, cfg)
+    with open(os.path.join(out_dir, "_job.json")) as f:
+        hot = json.load(f)["hot"]
+    assert hot == [hot_id]
+
+    delta = pa.Table.from_pandas(df[mask], preserve_index=False)
+    routed = set(
+        DeriveAssign(cfg, hot_list=hot)(delta)["part"].to_pylist()
+    )
+    holds_hot = {
+        p
+        for p in range(cfg.num_partitions)
+        if os.path.exists(_data_file(out_dir, p))
+        and hot_id in pq.read_table(_data_file(out_dir, p))["conv_id"].to_pylist()
+    }
+    # the hot conv's other day windows sit in partitions the delta skips
+    assert holds_hot - routed
+
+    before = _files(out_dir)
+    res = update_rollup_job(out_dir, delta_path)
+    assert res["partitions_rewritten"] == sorted(routed)
+    for p in range(cfg.num_partitions):
+        path = _data_file(out_dir, p)
+        if p not in routed and path in before:
+            with open(path, "rb") as f:
+                assert f.read() == before[path][0], p
+            assert os.stat(path).st_mtime_ns == before[path][1], p
+
+    full = rollup_table(tbl, cfg, hot_list=hot).to_pandas()
+    _assert_same(full, read_rollup_output(out_dir).to_pandas())
+
+
+def test_update_rollup_job_partial_application(ray_session, tmp_path):
+    """A store where one rewritten partition went back to its pre-update
+    data and manifest (the others carry the delta) finishes on rerun:
+    only that partition is rewritten and the store equals a full
+    rebuild. The delta is a directory of three files."""
+    import shutil
+
+    from light_curve_feature_ray.pipelines.rollup import rollup_table
+    from light_curve_feature_ray.pipelines.update import update_rollup_job
+    from light_curve_feature_ray.state.checkpoint import (
+        job_report,
+        read_rollup_output,
+    )
+
+    tbl = synth_transcripts_table(
+        n_convs=16, mean_turns=30, hot_convs=0, seed=41
+    )
+    df = tbl.to_pandas()
+    mask = _suffix_mask(df, 0.3, only_even_convs=False)
+    cfg = _cfg()
+    out_dir, delta_path = _job_store(tmp_path, df, mask, cfg, delta_files=3)
+    backup = str(tmp_path / "backup")
+    shutil.copytree(out_dir, backup)
+
+    res = update_rollup_job(out_dir, delta_path)
+    assert len(res["partitions_rewritten"]) >= 2
+    p0 = res["partitions_rewritten"][0]
+    for name in ("data.parquet", "_manifest.json"):
+        shutil.copy2(
+            os.path.join(backup, f"part={p0}", name),
+            os.path.join(out_dir, f"part={p0}", name),
+        )
+    res2 = update_rollup_job(out_dir, delta_path)
+    assert res2["partitions_rewritten"] == [p0]
+    assert res2["partitions_skipped_applied"] == res["partitions_rewritten"][1:]
+
+    updated = read_rollup_output(out_dir).to_pandas()
+    _assert_same(rollup_table(tbl, cfg).to_pandas(), updated)
+    assert job_report(out_dir)["stage"]["rows_in"] == tbl.num_rows
+
+
+def test_update_rollup_job_empty_delta(ray_session, tmp_path):
+    """A 0-row delta file writes nothing, _job.json included."""
+    from light_curve_feature_ray.pipelines.update import update_rollup_job
+
+    tbl = synth_transcripts_table(n_convs=6, mean_turns=20, hot_convs=0, seed=3)
+    df = tbl.to_pandas()
+    mask = np.zeros(len(df), dtype=bool)
+    out_dir, delta_path = _job_store(tmp_path, df, mask, _cfg())
+    before = _files(out_dir)
+    res = update_rollup_job(out_dir, delta_path)
+    assert res["partitions_rewritten"] == []
+    assert res["partitions_skipped_applied"] == []
+    assert res["rows_written"] == 0
+    assert len(res["partitions_untouched"]) == len(
+        [p for p in before if p.endswith("_manifest.json")]
+    )
+    assert _files(out_dir) == before
+
+
+def test_update_rollup_job_conv_bound(ray_session, tmp_path):
+    """max_update_convs raises before any file is written; each derive
+    task hands the driver at most max_update_convs + 1 conv ids and its
+    part ids, never delta rows."""
+    import ray
+
+    from light_curve_feature_ray.pipelines.update import (
+        _derive,
+        update_rollup_job,
+    )
+
+    tbl = synth_transcripts_table(n_convs=8, mean_turns=20, hot_convs=0, seed=9)
+    df = tbl.to_pandas()
+    mask = _suffix_mask(df, 0.3, only_even_convs=False)
+    cfg = _cfg()
+    out_dir, delta_path = _job_store(tmp_path, df, mask, cfg)
+    before = _files(out_dir)
+    with pytest.raises(ValueError, match="max_update_convs=1 "):
+        update_rollup_job(out_dir, delta_path, max_update_convs=1)
+    assert _files(out_dir) == before
+
+    rows_ref, ids_ref = _derive.remote(delta_path, cfg, None, 1)
+    parts, convs = ray.get(ids_ref)
+    assert len(convs) == 2
+    assert parts == sorted(set(ray.get(rows_ref)["part"].to_pylist()))
 
 
 def test_update_exchange_partitions_invariant(ray_session):
