@@ -222,30 +222,12 @@ SQL_EVENTS_PROFILE = " UNION ALL ".join(
 
 
 def _rollup(sf_dir: str, **cfg_kwargs):
-    from light_curve_feature_ray.stages.rollup import RollupConfig, RollupWorker
+    from light_curve_feature_ray.pipelines.rollup import rollup_dataset
+    from light_curve_feature_ray.stages.rollup import RollupConfig
 
     cfg_kwargs.setdefault("store_points", False)
     config = RollupConfig(num_partitions=16, hot_threshold=None, **cfg_kwargs)
-    turns = _turns(sf_dir)
-
-    def derive(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "conv_id": batch["conv_id"],
-                "turn_idx": batch["turn_idx"],
-                "ts_us": batch["ts"].cast(pa.int64()),
-                "m": pc.cast(pc.fill_null(pc.utf8_length(batch["text"]), 0), pa.float64()),
-                "part": batch["part"],
-            }
-        )
-
-    derived = turns.map_batches(derive, batch_format="pyarrow")
-    worker = RollupWorker(config)
-
-    def run_worker(batch: pa.Table) -> pa.Table:
-        return worker(batch)
-
-    return derived.groupby("part").map_groups(run_worker, batch_format="pyarrow")
+    return rollup_dataset(_turns(sf_dir), config)
 
 
 _STATS_FEATURES = (
@@ -323,10 +305,8 @@ def q_rollup_1h_by_band(sf_dir: str):
     """Per-band tier rollup: each (conv, role) sub-stream is its own
     series (composite key through the standard cascade) — per-band
     continuous aggregates, the tier-level analog of PerBandFeature."""
-    from light_curve_feature_ray.stages.rollup import (
-        RollupConfig,
-        RollupWorker,
-    )
+    from light_curve_feature_ray.pipelines.rollup import rollup_dataset
+    from light_curve_feature_ray.stages.rollup import RollupConfig
 
     config = RollupConfig(
         features=("observation_count", "mean", "amplitude"),
@@ -336,32 +316,19 @@ def q_rollup_1h_by_band(sf_dir: str):
         hot_threshold=None,
         store_points=False,
     )
-    turns = _turns(sf_dir)
 
-    def derive(batch: pa.Table) -> pa.Table:
+    def band_key(batch: pa.Table) -> pa.Table:
         key = pc.binary_join_element_wise(
             batch["conv_id"].cast(pa.string()),
             batch["role"].cast(pa.string()),
             "#",
         )
-        return pa.table(
-            {
-                "conv_id": key,
-                "turn_idx": batch["turn_idx"],
-                "ts_us": batch["ts"].cast(pa.int64()),
-                "m": pc.cast(
-                    pc.fill_null(pc.utf8_length(batch["text"]), 0),
-                    pa.float64(),
-                ),
-                "part": batch["part"],
-            }
+        return batch.set_column(
+            batch.schema.get_field_index("conv_id"), "conv_id", key
         )
 
-    worker = RollupWorker(config)
-    ds = (
-        turns.map_batches(derive, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(lambda b: worker(b), batch_format="pyarrow")
+    ds = rollup_dataset(
+        _turns(sf_dir).map_batches(band_key, batch_format="pyarrow"), config
     )
 
     def split_key(b: pa.Table) -> pa.Table:
@@ -503,14 +470,21 @@ FROM filled GROUP BY conv_id, h//24
 
 def q_rollup_incremental(sf_dir: str):
     """Continuous-aggregate UPDATE path (pipelines/update.py): the turn
-    stream is split at turn_idx 12 — the first slice builds the initial
-    tier store (1m tier keeps Gorilla points as state), rollup_update
-    folds the suffix delta in (passthrough for untouched convs, decode +
-    re-run of the unmodified kernel for affected ones) — and the updated
-    1h projection must match the SAME SQL oracle as the full cascade."""
-    from light_curve_feature_ray.pipelines.rollup import rollup_dataset
-    from light_curve_feature_ray.pipelines.update import rollup_update
+    stream is split at turn_idx 12 — ``run_rollup_job`` builds the tier
+    store from the first slice (1m tier keeps Gorilla points as state),
+    ``update_rollup_job`` folds the suffix delta in (decode + re-run of
+    the unmodified kernel for the partitions it routes to) — and the
+    updated 1h projection must match the SAME SQL oracle as the full
+    cascade."""
+    import os
+    import tempfile
+
+    from light_curve_feature_ray.pipelines.update import update_rollup_job
     from light_curve_feature_ray.stages.rollup import RollupConfig
+    from light_curve_feature_ray.state.checkpoint import (
+        read_rollup_output,
+        run_rollup_job,
+    )
 
     cfg = RollupConfig(
         features=_STATS_FEATURES,
@@ -521,16 +495,21 @@ def q_rollup_incremental(sf_dir: str):
         hot_threshold=None,
     )
     turns = _turns(sf_dir)
-    old_tiers = rollup_dataset(turns.filter(expr="turn_idx < 12"), cfg)
-    updated = rollup_update(
-        old_tiers, turns.filter(expr="turn_idx >= 12"), cfg
-    )
-    hour = updated.filter(expr="tier == '1h'").map_batches(
-        lambda b: b.drop_columns(["tier", "points"]),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-    return _finalize(hour)
+    with tempfile.TemporaryDirectory() as tmp:
+        old, delta, store = (
+            os.path.join(tmp, name) for name in ("old", "delta", "store")
+        )
+        turns.filter(expr="turn_idx < 12").write_parquet(old)
+        turns.filter(expr="turn_idx >= 12").write_parquet(delta)
+        run_rollup_job(old, store, cfg)
+        update_rollup_job(store, delta)
+        hour = read_rollup_output(store).filter(expr="tier == '1h'").map_batches(
+            lambda b: b.drop_columns(["tier", "points"]),
+            batch_format="pyarrow",
+            batch_size=None,
+        )
+        # the store's files go with the directory: read them first
+        return _finalize(hour).materialize()
 
 
 def q_rollup_retention(sf_dir: str):
@@ -6249,9 +6228,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # lands), 32-40 the re-checks whose engine or twin changed this round
     # (welch/autocorr constant-arm variance snap; rolling-family null-key
     # drops + twin WHERE filters; validate_constraints zero-row partial),
-    # 41-44 headline re-checks.  New round-5 queries are inserted right
-    # after position 44 so they land inside the window; everything past
-    # ~50 is green in r01-r04 driver files with unchanged code.
+    # 41-42 and 45-46 headline re-checks.  43-44 are the two rollup
+    # queries whose code changed most when every driver rollup moved onto
+    # rollup_dataset (rollup_1h_by_band) and run_rollup_job +
+    # update_rollup_job (rollup_incremental).  New round-5 queries are
+    # inserted right after position 46 so they land inside the window;
+    # everything past ~50 is green in r01-r04 driver files with unchanged
+    # code.
     return {
         # -- r04 driver FAILs, twins fixed this round (1-2) ---------------
         "doc_pack": q_doc_pack,
@@ -6296,12 +6279,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_running": q_events_running,
         "events_ewma": q_events_ewma,
         "events_validate": q_events_validate,
-        # -- headline re-checks (41-44) -----------------------------------
+        # -- headline re-checks (41-42) -----------------------------------
         "rollup_full_tiers_sql": q_rollup_full_tiers_sql,
         "rollup_1m_stats": q_rollup_1m_stats,
+        # -- moved onto rollup_dataset / the job update: re-check (43-44) -
+        "rollup_incremental": q_rollup_incremental,
+        "rollup_1h_by_band": q_rollup_1h_by_band,
+        # -- headline re-checks (45-46) -----------------------------------
         "emb_semantic_dedup": q_emb_semantic_dedup,
         "emb_kcenter_sample": q_emb_kcenter_sample,
-        # -- new round-5 queries go here (45+) ----------------------------
+        # -- new round-5 queries go here (47+) ----------------------------
         "turns_assemble": q_turns_assemble,
         "events_gap_report": q_events_gap_report,
         "events_profile": q_events_profile,
@@ -6350,7 +6337,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_minhash_dups": q_doc_minhash_dups,
         "doc_simhash_dups": q_doc_simhash_dups,
         "emb_cosine_dups": q_emb_cosine_dups,
-        "rollup_incremental": q_rollup_incremental,
         "rollup_1h_cascade": q_rollup_1h_cascade,
         "rollup_1d_cascade": q_rollup_1d_cascade,
         "rollup_1d_gapfill_linear": q_rollup_1d_gapfill_linear,
@@ -6368,7 +6354,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_value_quantiles": q_events_value_quantiles,
         "conv_moments": q_conv_moments,
         "rollup_1m_quantiles": q_rollup_1m_quantiles,
-        "rollup_1h_by_band": q_rollup_1h_by_band,
         "rollup_1d_gapfill_prev": q_rollup_1d_gapfill_prev,
         "rollup_retention": q_rollup_retention,
         "conv_time": q_conv_time,

@@ -25,11 +25,10 @@ from .pipelines.rollup import (  # noqa: F401
     rollup_table,
     apply_retention,
 )
-from .pipelines.update import rollup_update, update_rollup_job  # noqa: F401
+from .pipelines.update import update_rollup_job  # noqa: F401
 from .pipelines.turns import clean_turns  # noqa: F401
 from .state.checkpoint import (  # noqa: F401
     job_report,
-    read_dataset_partitioned,
     read_rollup_output,
     run_rollup_job,
     write_dataset_partitioned,

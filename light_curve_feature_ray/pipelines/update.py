@@ -1,31 +1,28 @@
 """Incremental continuous-aggregate update: fold a DELTA of new turns
-into an existing tier store without recomputing untouched conversations.
+into a ``run_rollup_job`` tier store on disk without recomputing
+untouched conversations.
 
 The tier cascade derives 1h/1d from the per-minute series, and the 1m
 tier stores each bucket's raw (ts, m) points Gorilla-compressed — so the
-1m tier IS the engine's state store. Both entry points derive the delta
-exactly like the full pipeline (``DeriveAssign``: text -> m, salted
-partition assignment), decode the affected conversations' old 1m points
-back into (ts, m) rows (:func:`_old_points`) and re-run the unmodified
-``RollupWorker`` kernel over old points + delta
+1m tier IS the engine's state store. ``update_rollup_job`` derives the
+delta exactly like the full pipeline (``DeriveAssign``: text -> m,
+salted partition assignment), decodes the affected conversations' old
+1m points back into (ts, m) rows (:func:`_old_points`) and re-runs the
+unmodified ``RollupWorker`` kernel over old points + delta
 (:func:`_recompute_partition`), so every invariant (dedup settle rule,
 salt-window gap-fill truncation, partition invariance) holds by
 construction and recomputed bytes — including the Gorilla points column
 — are identical to a full run.
 
-- ``rollup_update`` works on Datasets of tier rows: unaffected
-  conversations pass through undecoded, affected ones meet the delta in
-  one salted hash exchange.
-- ``update_rollup_job`` works on a ``run_rollup_job`` store and uses no
-  Dataset at all. It ROUTES instead of scanning: a partition's tier rows
-  for a conversation depend only on that conversation's rows routed to
-  the partition (``hash % P`` for normal conversations, the salted
-  (conv, day-window) key for hot ones, and gap-fill truncates at salt
-  windows), so the partitions a delta touches are exactly the ``part``
-  values of the derived delta. One ``_derive`` task per delta file
-  derives and routes it; one ``_fold_part`` task per touched partition
-  decodes that partition's old points of the delta's conversations,
-  recomputes them and rewrites the partition file.
+It uses no Dataset at all. It ROUTES instead of scanning: a partition's
+tier rows for a conversation depend only on that conversation's rows
+routed to the partition (``hash % P`` for normal conversations, the
+salted (conv, day-window) key for hot ones, and gap-fill truncates at
+salt windows), so the partitions a delta touches are exactly the
+``part`` values of the derived delta. One ``_derive`` task per delta
+file derives and routes it; one ``_fold_part`` task per touched
+partition decodes that partition's old points of the delta's
+conversations, recomputes them and rewrites the partition file.
 
 Update contract (documented, tested):
 
@@ -81,7 +78,7 @@ _POS_BITS = 21  # max 2**21 points per (conv, minute) bucket in okey
 
 
 def _delta_prep(batch: pa.Table) -> pa.Table:
-    """DeriveAssign output -> exchange rows (src=1, okey=turn_idx)."""
+    """DeriveAssign output -> routed delta rows (src=1, okey=turn_idx)."""
     turn = batch["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
     if turn.size and (turn.min() < 0 or turn.max() >= _DELTA_OFFSET):
         raise ValueError("delta turn_idx must be in [0, 2**31)")
@@ -97,17 +94,8 @@ def _delta_prep(batch: pa.Table) -> pa.Table:
     )
 
 
-def _passthrough_fn(conv_ref):
-    def fn(batch: pa.Table) -> pa.Table:
-        convs = ray.get(conv_ref)
-        keep = pc.invert(pc.is_in(batch["conv_id"], value_set=convs))
-        return batch.filter(keep)
-
-    return fn
-
-
 def _old_points(sel: pa.Table, config: RollupConfig, hot: set) -> pa.Table:
-    """Old 1m tier rows -> decoded exchange rows (src=0, okey =
+    """Old 1m tier rows -> decoded point rows (src=0, okey =
     minute_slot * 2**21 + in-bucket position: unique per conv and ordered
     exactly like the original turn order, since points are encoded in
     turn order within each slot-sorted bucket), routed like the delta."""
@@ -147,9 +135,9 @@ def _old_points(sel: pa.Table, config: RollupConfig, hot: set) -> pa.Table:
     )
     return pa.table(
         {
-            # dictionary-encoded to match DeriveAssign's delta schema
-            # (union requires identical types) and to shrink the
-            # exchange payload the same way
+            # dictionary-encoded to match DeriveAssign's delta schema:
+            # _fold_part joins both with pa.concat_tables, which requires
+            # identical types
             "conv_id": pc.dictionary_encode(conv_out),
             "ts_us": pa.array(ts_all.astype(np.int64)),
             "m": pa.array(m_all.astype(np.float64)),
@@ -160,37 +148,11 @@ def _old_points(sel: pa.Table, config: RollupConfig, hot: set) -> pa.Table:
     )
 
 
-def _extract_points_fn(conv_ref, config: RollupConfig, hot_ref):
-    """Keep the old 1m rows of affected convs, then :func:`_old_points`."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        convs = ray.get(conv_ref)
-        hot = set(ray.get(hot_ref)) if hot_ref is not None else set()
-        mask = pc.and_(
-            pc.equal(batch["tier"], "1m"),
-            pc.is_in(batch["conv_id"], value_set=convs),
-        )
-        return _old_points(batch.filter(mask), config, hot)
-
-    return fn
-
-
 def _recompute_partition(batch: pa.Table, worker: RollupWorker) -> pa.Table:
-    """One exchange partition of merged (old-point + delta) rows:
+    """One partition's merged (old-point + delta) rows:
     synthesize turn_idx (old rows ranked per conv by okey below 2**31,
     delta rows offset above it), then delegate to the UNMODIFIED
     RollupWorker kernel."""
-    if batch.num_rows == 0:
-        return worker(
-            pa.table(
-                {
-                    "conv_id": pa.array([], pa.string()),
-                    "turn_idx": pa.array([], pa.int64()),
-                    "ts_us": pa.array([], pa.int64()),
-                    "m": pa.array([], pa.float64()),
-                }
-            )
-        )
     conv_dict = pc.dictionary_encode(
         batch["conv_id"].cast(pa.string()).combine_chunks()
     )
@@ -219,85 +181,6 @@ def _recompute_partition(batch: pa.Table, worker: RollupWorker) -> pa.Table:
     return worker(merged)
 
 
-def _update_worker_fn(config: RollupConfig, hot_ref):
-    def fn(batch: pa.Table) -> pa.Table:
-        hot = list(ray.get(hot_ref)) if hot_ref is not None else None
-        return _recompute_partition(batch, RollupWorker(config, hot_list=hot))
-
-    return fn
-
-
-def rollup_update(
-    old_tiers_ds,
-    delta_ds,
-    config: RollupConfig,
-    *,
-    hot_list=None,
-    max_update_convs: int = 2_000_000,
-    exchange_partitions: int | None = None,
-):
-    """Fold a delta of new turns into an existing tier-row Dataset.
-
-    Returns the UPDATED full tier Dataset: unaffected conversations pass
-    through untouched (streamed, never decoded); affected conversations
-    are recomputed bit-identically to a full rollup over
-    (old turns + delta) under the append contract in the module docs.
-    ``config`` must match the one that produced ``old_tiers_ds``
-    (``num_partitions`` resolved, ``store_points=True``).
-
-    ``exchange_partitions`` sizes the update's OWN exchange — the output
-    is partition-invariant (tested), so a small delta should use far
-    fewer partitions than the store was built with; the store modulus
-    only matters at the job level (update_rollup_job), where rewritten
-    files must align with existing ones."""
-    if not config.store_points:
-        raise ValueError(
-            "rollup_update needs store_points=True: the 1m Gorilla points "
-            "are the state the update replays"
-        )
-    if config.num_partitions is None:
-        raise ValueError("pass the resolved config (num_partitions set)")
-
-    convs = delta_ds.unique("conv_id")
-    if len(convs) > max_update_convs:
-        raise ValueError(
-            f"delta touches {len(convs)} conversations > max_update_convs="
-            f"{max_update_convs}; split the delta or raise the bound"
-        )
-    conv_ref = ray.put(pa.array(sorted(convs), type=pa.string()))
-    hot_ref = ray.put(list(hot_list)) if hot_list else None
-
-    ex_cfg = config
-    if exchange_partitions is not None:
-        from dataclasses import replace
-
-        ex_cfg = replace(config, num_partitions=int(exchange_partitions))
-
-    derived = delta_ds.map_batches(
-        DeriveAssign(ex_cfg, hot_list=hot_list),
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
-    ).map_batches(_delta_prep, batch_format="pyarrow", batch_size=None)
-
-    old_points = old_tiers_ds.map_batches(
-        _extract_points_fn(conv_ref, ex_cfg, hot_ref),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-
-    recomputed = (
-        derived.union(old_points)
-        .groupby("part")
-        .map_groups(_update_worker_fn(ex_cfg, hot_ref), batch_format="pyarrow")
-    )
-
-    passthrough = old_tiers_ds.map_batches(
-        _passthrough_fn(conv_ref), batch_format="pyarrow", batch_size=None
-    )
-    return passthrough.union(recomputed)
-
-
 def _stage(prev: dict, batch: pa.Table, worker: RollupWorker) -> dict:
     """Stage record of a rewritten partition: the previous manifest's
     (``prev``) plus this fold's. ``rows_in`` adds the delta's turns only
@@ -313,7 +196,7 @@ def _stage(prev: dict, batch: pa.Table, worker: RollupWorker) -> dict:
 
 @ray.remote(num_returns=2)
 def _derive(path: str, config: RollupConfig, hot, max_convs: int):
-    """One delta file -> (its derived exchange rows, (its sorted distinct
+    """One delta file -> (its derived delta rows, (its sorted distinct
     ``part`` ids, at most ``max_convs + 1`` of its distinct conv_ids —
     enough for the driver's bound check)). The rows stay in the object
     store for the fold tasks; the driver fetches only the second value."""

@@ -272,9 +272,6 @@ def read_rollup_output(out_dir: str):
     return ds
 
 
-read_dataset_partitioned = read_rollup_output
-
-
 def write_dataset_partitioned(
     ds,
     out_dir: str,

@@ -1099,7 +1099,7 @@ def test_write_dataset_partitioned_resume(ray_session, tmp_path):
 
     from light_curve_feature_ray.state.checkpoint import (
         completed_partitions,
-        read_dataset_partitioned,
+        read_rollup_output,
         write_dataset_partitioned,
     )
 
@@ -1117,7 +1117,7 @@ def test_write_dataset_partitioned_resume(ray_session, tmp_path):
     assert r1["partitions_written"] == 8 and r1["partitions_skipped"] == 0
     assert r1["rows_written"] == 500
     back = (
-        read_dataset_partitioned(out)
+        read_rollup_output(out)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -1145,7 +1145,7 @@ def test_write_dataset_partitioned_resume(ray_session, tmp_path):
             == m
         ), p
     back2 = (
-        read_dataset_partitioned(out)
+        read_rollup_output(out)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

@@ -1,9 +1,11 @@
 """Incremental continuous-aggregate update (pipelines/update.py):
-rollup_update(old_tiers, delta) must equal a full rollup over the
+folding a delta into a ``run_rollup_job`` store with
+``update_rollup_job`` must equal the in-process ``rollup_table`` over the
 combined turns — bit-identically, including the Gorilla points column —
 under the append contract, across gap-fill modes, salted hot convs,
-passthrough convs, brand-new convs, intra-delta duplicates and late
-timestamps."""
+untouched convs, brand-new convs, intra-delta duplicates and late
+timestamps; it must rewrite only the partitions the delta routes to,
+skip an already-applied delta, and refuse a store it cannot replay."""
 
 import os
 
@@ -69,55 +71,50 @@ def _assert_same(full: pd.DataFrame, upd: pd.DataFrame):
             assert (a == b).all(), c
 
 
-def _run_pair(ray_session, tbl: pa.Table, delta_mask, cfg, hot_list=None):
-    import ray.data as rd
+def _run_pair(tmp_path, tbl: pa.Table, delta_mask, cfg):
+    """Build a job store from the turns outside ``delta_mask``, fold the
+    rest in with ``update_rollup_job``, and return (the in-process
+    reference over all turns with the store's recorded hot set, the
+    updated store's rows, that hot set)."""
+    import json
 
-    from light_curve_feature_ray.pipelines.rollup import rollup_dataset
-    from light_curve_feature_ray.pipelines.update import rollup_update
+    from light_curve_feature_ray.pipelines.rollup import rollup_table
+    from light_curve_feature_ray.pipelines.update import update_rollup_job
+    from light_curve_feature_ray.state.checkpoint import read_rollup_output
 
-    df = tbl.to_pandas()
-    old_tbl = pa.Table.from_pandas(df[~delta_mask], preserve_index=False)
-    delta_tbl = pa.Table.from_pandas(df[delta_mask], preserve_index=False)
-    full = rollup_dataset(
-        rd.from_arrow(tbl).repartition(4), cfg, hot_list=hot_list
-    ).to_pandas()
-    old = rollup_dataset(
-        rd.from_arrow(old_tbl).repartition(3), cfg, hot_list=hot_list
-    )
-    upd = rollup_update(
-        old,
-        rd.from_arrow(delta_tbl).repartition(2),
-        cfg,
-        hot_list=hot_list,
-    ).to_pandas()
-    return full, upd
+    out_dir, delta_path = _job_store(tmp_path, tbl.to_pandas(), delta_mask, cfg)
+    update_rollup_job(out_dir, delta_path)
+    with open(os.path.join(out_dir, "_job.json")) as f:
+        hot = json.load(f)["hot"]
+    full = rollup_table(tbl, cfg, hot_list=hot).to_pandas()
+    return full, read_rollup_output(out_dir).to_pandas(), hot
 
 
 @pytest.mark.parametrize("gap_fill", ["none", "prev", "linear"])
-def test_update_equals_full(ray_session, gap_fill):
+def test_update_equals_full(ray_session, tmp_path, gap_fill):
     tbl = synth_transcripts_table(
         n_convs=16, mean_turns=40, hot_convs=0, seed=21
     )
     mask = _suffix_mask(tbl.to_pandas(), 0.3, only_even_convs=True)
     assert mask.any() and not mask.all()
-    full, upd = _run_pair(ray_session, tbl, mask, _cfg(gap_fill=gap_fill))
+    full, upd, _ = _run_pair(tmp_path, tbl, mask, _cfg(gap_fill=gap_fill))
     _assert_same(full, upd)
 
 
-def test_update_salted_hot_conv(ray_session):
+def test_update_salted_hot_conv(ray_session, tmp_path):
     tbl = synth_transcripts_table(
         n_convs=10, mean_turns=30, hot_convs=1, hot_turns=400, seed=5
     )
     df = tbl.to_pandas()
-    hot = [df.groupby("conv_id").size().idxmax()]
     mask = _suffix_mask(df, 0.25, only_even_convs=False)
-    full, upd = _run_pair(
-        ray_session, tbl, mask, _cfg(salt_window_days=2), hot_list=hot
+    full, upd, hot = _run_pair(
+        tmp_path, tbl, mask, _cfg(hot_threshold=200, salt_window_days=2)
     )
+    assert hot == [df.groupby("conv_id").size().idxmax()]
     _assert_same(full, upd)
 
 
-def test_update_new_conv_dups_and_late_ts(ray_session):
+def test_update_new_conv_dups_and_late_ts(ray_session, tmp_path):
     tbl = synth_transcripts_table(
         n_convs=8, mean_turns=25, hot_convs=0, seed=13
     )
@@ -137,21 +134,8 @@ def test_update_new_conv_dups_and_late_ts(ray_session):
     combined = pd.concat([df, extra], ignore_index=True)
     full_mask = np.r_[mask, np.ones(len(extra), dtype=bool)]
     tbl2 = pa.Table.from_pandas(combined, preserve_index=False)
-    full, upd = _run_pair(ray_session, tbl2, full_mask, _cfg())
+    full, upd, _ = _run_pair(tmp_path, tbl2, full_mask, _cfg())
     _assert_same(full, upd)
-
-
-def test_update_guards(ray_session):
-    import ray.data as rd
-
-    from light_curve_feature_ray.pipelines.update import rollup_update
-
-    tbl = synth_transcripts_table(n_convs=3, mean_turns=5, hot_convs=0, seed=1)
-    ds = rd.from_arrow(tbl)
-    with pytest.raises(ValueError, match="store_points"):
-        rollup_update(ds, ds, _cfg(store_points=False))
-    with pytest.raises(ValueError, match="max_update_convs"):
-        rollup_update(ds, ds, _cfg(), max_update_convs=1)
 
 
 def _job_store(tmp_path, df: pd.DataFrame, delta_mask, cfg, delta_files=1):
@@ -196,6 +180,24 @@ def _files(out_dir: str) -> dict:
 
 def _data_file(out_dir: str, p: int) -> str:
     return os.path.join(out_dir, f"part={p}", "data.parquet")
+
+
+def test_update_guards(ray_session, tmp_path):
+    """A store without 1m points has no state to replay: the update
+    refuses it before anything is written (``max_update_convs`` is pinned
+    by test_update_rollup_job_conv_bound)."""
+    from light_curve_feature_ray.pipelines.update import update_rollup_job
+
+    tbl = synth_transcripts_table(n_convs=3, mean_turns=5, hot_convs=0, seed=1)
+    df = tbl.to_pandas()
+    mask = _suffix_mask(df, 0.3, only_even_convs=False)
+    out_dir, delta_path = _job_store(
+        tmp_path, df, mask, _cfg(store_points=False)
+    )
+    before = _files(out_dir)
+    with pytest.raises(ValueError, match="store_points"):
+        update_rollup_job(out_dir, delta_path)
+    assert _files(out_dir) == before
 
 
 def test_update_rollup_job(ray_session, tmp_path):
@@ -401,23 +403,3 @@ def test_update_rollup_job_conv_bound(ray_session, tmp_path):
     parts, convs = ray.get(ids_ref)
     assert len(convs) == 2
     assert parts == sorted(set(ray.get(rows_ref)["part"].to_pylist()))
-
-
-def test_update_exchange_partitions_invariant(ray_session):
-    """A small exchange modulus for the update produces identical rows."""
-    tbl = synth_transcripts_table(n_convs=10, mean_turns=30, hot_convs=0, seed=7)
-    import ray.data as rd
-
-    from light_curve_feature_ray.pipelines.rollup import rollup_dataset
-    from light_curve_feature_ray.pipelines.update import rollup_update
-
-    df = tbl.to_pandas()
-    mask = _suffix_mask(df, 0.3, only_even_convs=True)
-    old = rollup_dataset(
-        rd.from_arrow(pa.Table.from_pandas(df[~mask], preserve_index=False)),
-        _cfg(),
-    ).materialize()
-    delta = rd.from_arrow(pa.Table.from_pandas(df[mask], preserve_index=False))
-    a = rollup_update(old, delta, _cfg()).to_pandas()
-    b = rollup_update(old, delta, _cfg(), exchange_partitions=3).to_pandas()
-    _assert_same(a, b)
