@@ -3,22 +3,37 @@ counterpart — see Pelkonen et al., "Gorilla: A Fast, Scalable, In-Memory
 Time Series Database", VLDB 2015, and Chimp (VLDB 2022) in PAPERS.md).
 
 Encodes one bucket's raw (ts, value) points into a compact byte string
-stored in an Arrow ``binary`` column:
+stored in an Arrow ``binary`` column. Format version 2
+(:data:`FORMAT_VERSION`), built from two token kinds:
 
-- timestamps: first value as raw int64 (units decided by caller, typically
-  microseconds), then delta-of-delta with the classic Gorilla control codes
-  {'0': dod=0, '10': 7-bit, '110': 9-bit, '1110': 12-bit, '11110': 32-bit,
-  '11111': 64-bit raw} (signed offsets, zigzag-free bias encoding).
-- values: first float64 as raw 64 bits, then XOR with the previous value:
-  '0' if identical; '10' + meaningful bits if the leading/trailing-zero
-  window of the previous XOR still fits; '11' + 5-bit leading-zero count +
-  6-bit length + bits otherwise.
+- a *delta-of-delta token* holds a signed integer with the classic
+  Gorilla control codes {'0': 0, '10': 7-bit, '110': 9-bit, '1110':
+  12-bit, '11110': 32-bit, '11111': 64-bit raw} (payloads biased by half
+  their range);
+- an *XOR token* holds the XOR of two 64-bit words: '0' if it is zero,
+  otherwise '11' + 5-bit leading-zero count (capped at 31) + 6-bit
+  (length - 1) + the meaningful bits.
 
-The encoder is vectorized: each point maps to a (payload, bit-length) token
-pair computed with numpy; tokens are materialized through a bit matrix and
-``np.packbits``. The decoder reads tokens with shifts of a big-endian Python
-int over a window of the blob, one call per blob (decode is off the rollup
-hot path: the tier cascade computes holistic features from in-memory raw
+A series of ``n`` points is the empty blob ``b""`` for ``n == 0``;
+otherwise it is, in order: ``n - 1`` as one delta-of-delta token; the
+first timestamp and the first value's bits, each as one XOR token
+against 0; one delta-of-delta token per further timestamp (the first
+delta counts against an implicit 0); one XOR token per further value
+against the previous one. Each blob is zero-padded to a whole byte.
+
+Blobs are self-describing: :func:`decode` needs nothing but the blob —
+no count, bucket or row context from outside it. Short series are the
+common case (1m buckets hold ~1.8 points), so the header uses the same
+variable-length tokens as the body instead of raw 64-bit words.
+
+There is one encoder: :func:`_encode_segments_raw` encodes many series
+at once with numpy (every field becomes one token of <= 64 bits, plus a
+continuation token for the rare longer ones, and tokens are OR-ed into
+big-endian 64-bit words); :func:`encode` is its one-segment call, so the
+scalar and the batched blobs are byte-identical by construction. The
+decoder reads tokens with shifts of a big-endian Python int over a
+window of the blob, one call per blob (decode is off the rollup hot
+path: the tier cascade computes holistic features from in-memory raw
 points; readers and the incremental update decode).
 """
 
@@ -26,391 +41,203 @@ from __future__ import annotations
 
 import numpy as np
 
+#: recorded in ``RollupConfig.to_dict()`` (checkpoint lineage): a store
+#: written with another format version is refused, never decoded
+FORMAT_VERSION = 2
+
 _MASK64 = (1 << 64) - 1
 
+#: delta-of-delta classes: (payload bits, prefix, prefix bits, max |value|)
 _DOD_RANGES = (
-    (7, 0b10, 2, 63),  # 7-bit payload, prefix '10'
-    (9, 0b110, 3, 255),  # 9-bit payload, prefix '110'
-    (12, 0b1110, 4, 2047),  # 12-bit payload, prefix '1110'
-    (32, 0b11110, 5, (1 << 31) - 1),  # 32-bit payload, prefix '11110'
+    (7, 0b10, 2, 63),
+    (9, 0b110, 3, 255),
+    (12, 0b1110, 4, 2047),
+    (32, 0b11110, 5, (1 << 31) - 1),
 )
-
-
-def _pack_tokens(payloads: np.ndarray, nbits: np.ndarray) -> np.ndarray:
-    """Concatenate variable-length big-endian bitfields into a byte array.
-
-    payloads: uint64 array (values < 2**nbits), nbits: int array (0..64).
-    Vectorized via a (n_tokens x 64) bit matrix + mask + packbits.
-    """
-    n = payloads.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    max_bits = int(nbits.max())
-    shifts = np.arange(max_bits - 1, -1, -1, dtype=np.uint64)
-    # bit j of token i (MSB first within the token's nbits[i] window)
-    mat = (payloads[:, None] >> np.minimum(shifts[None, :], 63)) & 1
-    # For tokens with nbits < max_bits the leading columns must be dropped:
-    # column j belongs to token i iff j >= max_bits - nbits[i]
-    keep = np.arange(max_bits)[None, :] >= (max_bits - nbits[:, None])
-    bits = mat[keep].astype(np.uint8)  # flattened in token order
-    return np.packbits(bits)
-
-
-def _bias_encode(dod: np.ndarray, bits: int) -> np.ndarray:
-    """Map signed delta-of-delta into an unsigned payload of `bits` bits
-    (value + 2^(bits-1), classic Gorilla bias)."""
-    return (dod + (1 << (bits - 1))).astype(np.uint64)
-
-
-def encode(ts: np.ndarray, values: np.ndarray) -> bytes:
-    """Encode parallel int64 timestamps + float64 values."""
-    ts = np.ascontiguousarray(ts, dtype=np.int64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    n = ts.shape[0]
-    header = np.empty(2, dtype=np.uint64)
-    header[0] = np.uint64(n)
-    if n == 0:
-        return header[:1].byteswap().tobytes()
-
-    tokens_payload: list[np.ndarray] = []
-    tokens_bits: list[np.ndarray] = []
-
-    def emit(payload: np.ndarray, nbits: np.ndarray):
-        tokens_payload.append(payload.astype(np.uint64))
-        tokens_bits.append(nbits.astype(np.int64))
-
-    # ---- header: count, first ts, first value (raw 64-bit) ----
-    emit(np.array([n], dtype=np.uint64), np.array([64]))
-    emit(ts[:1].view(np.uint64), np.array([64]))
-    emit(values[:1].view(np.uint64), np.array([64]))
-
-    # ---- timestamps: delta-of-delta tokens ----
-    if n > 1:
-        deltas = np.diff(ts)
-        dod = np.empty(n - 1, dtype=np.int64)
-        dod[0] = deltas[0]  # first delta encoded as dod against implicit 0
-        dod[1:] = deltas[1:] - deltas[:-1]
-        t_payload = np.zeros(n - 1, dtype=np.uint64)
-        t_bits = np.zeros(n - 1, dtype=np.int64)
-        done = dod == 0
-        t_bits[done] = 1  # single '0' bit, payload 0
-        for pbits, prefix, plen, lim in _DOD_RANGES:
-            sel = (~done) & (np.abs(dod) <= lim)
-            if sel.any():
-                t_payload[sel] = (np.uint64(prefix) << np.uint64(pbits)) | _bias_encode(
-                    dod[sel], pbits
-                )
-                t_bits[sel] = plen + pbits
-                done |= sel
-        rest = ~done
-        if rest.any():
-            t_payload[rest] = (np.uint64(0b11111) << np.uint64(59)) | (
-                dod[rest].view(np.uint64) >> np.uint64(5)
-            )
-            # 64-bit raw doesn't fit prefix+payload in one uint64 token;
-            # split: token A = prefix(5) + top 59 bits, token B = low 5 bits
-            emitted_low = dod[rest].view(np.uint64) & np.uint64(0x1F)
-            t_bits[rest] = 64
-            # interleave requires order preservation: build combined arrays
-            # by expanding below instead
-            idx = np.flatnonzero(rest)
-            payload2 = np.zeros(n - 1, dtype=np.uint64)
-            bits2 = np.zeros(n - 1, dtype=np.int64)
-            payload2[idx] = emitted_low
-            bits2[idx] = 5
-            # stack (token, extra-token) pairs in point order
-            t_payload = np.column_stack([t_payload, payload2]).reshape(-1)
-            t_bits = np.column_stack([t_bits, bits2]).reshape(-1)
-        emit(t_payload, t_bits)
-
-    # ---- values: XOR tokens ----
-    if n > 1:
-        bits_v = values.view(np.uint64)
-        xor = bits_v[1:] ^ bits_v[:-1]
-        # leading/trailing zero counts of each xor
-        lead = np.zeros(n - 1, dtype=np.int64)
-        trail = np.zeros(n - 1, dtype=np.int64)
-        nz = xor != 0
-        if nz.any():
-            x = xor[nz]
-            # exact leading zeros via binary bit scan on uint64
-            hb = np.zeros(x.shape[0], dtype=np.int64)
-            v = x.copy()
-            for shift in (32, 16, 8, 4, 2, 1):
-                m = v >= (np.uint64(1) << np.uint64(shift))
-                hb[m] += shift
-                v[m] >>= np.uint64(shift)
-            lead[nz] = 63 - hb
-            # trailing zeros
-            low = (x & (~x + np.uint64(1))).astype(np.uint64)  # lowest set bit
-            tb = np.zeros(x.shape[0], dtype=np.int64)
-            v = low.copy()
-            for shift in (32, 16, 8, 4, 2, 1):
-                m = v >= (np.uint64(1) << np.uint64(shift))
-                tb[m] += shift
-                v[m] >>= np.uint64(shift)
-            trail[nz] = tb
-        # clamp leading to 31 (5-bit field)
-        lead = np.minimum(lead, 31)
-
-        # sequential window-reuse decision is inherently serial; emulate the
-        # simpler variant: always emit control '11' with explicit window for
-        # non-zero xor, '0' for zero xor. This stays within the Gorilla
-        # format family (it is the encoder's choice of when to reuse) and
-        # keeps encode fully vectorized.
-        v_payload = np.zeros(n - 1, dtype=np.uint64)
-        v_bits = np.ones(n - 1, dtype=np.int64)  # '0' for identical
-        if nz.any():
-            mlen = 64 - lead[nz] - trail[nz]  # meaningful bits, >= 1
-            meaningful = xor[nz] >> trail[nz].astype(np.uint64)
-            # token: '11' + 5-bit lead + 6-bit (mlen-1) + meaningful bits
-            head = (
-                (np.uint64(0b11) << np.uint64(11))
-                | (lead[nz].astype(np.uint64) << np.uint64(6))
-                | (mlen - 1).astype(np.uint64)
-            )
-            total_bits = 13 + mlen
-            fits = total_bits <= 64
-            payload = np.zeros(nz.sum(), dtype=np.uint64)
-            payload[fits] = (head[fits] << mlen[fits].astype(np.uint64)) | meaningful[
-                fits
-            ]
-            v_payload_nz_bits = np.where(fits, total_bits, 13)
-            idx = np.flatnonzero(nz)
-            v_payload[idx[fits]] = payload[fits]
-            v_bits[idx] = v_payload_nz_bits
-            # oversized tokens (13 + mlen > 64): emit head and meaningful
-            # bits as a second token
-            if (~fits).any():
-                v_payload[idx[~fits]] = head[~fits]
-                payload2 = np.zeros(n - 1, dtype=np.uint64)
-                bits2 = np.zeros(n - 1, dtype=np.int64)
-                payload2[idx[~fits]] = meaningful[~fits]
-                bits2[idx[~fits]] = mlen[~fits]
-                v_payload = np.column_stack([v_payload, payload2]).reshape(-1)
-                v_bits = np.column_stack([v_bits, bits2]).reshape(-1)
-        emit(v_payload, v_bits)
-
-    payloads = np.concatenate(tokens_payload)
-    nbits = np.concatenate(tokens_bits)
-    keep = nbits > 0
-    return _pack_tokens(payloads[keep], nbits[keep]).tobytes()
+# per class index (0: the '0' token, 1-4: _DOD_RANGES, 5: the raw escape,
+# whose fields are set separately)
+_DOD_LIMS = np.array([0] + [r[3] for r in _DOD_RANGES], dtype=np.uint64)
+_DOD_PBITS = np.array([0] + [r[0] for r in _DOD_RANGES] + [0], dtype=np.uint64)
+_DOD_PREFIX = np.array([0] + [r[1] << r[0] for r in _DOD_RANGES] + [0], dtype=np.uint64)
+_DOD_NBITS = np.array([1] + [r[0] + r[2] for r in _DOD_RANGES] + [64], dtype=np.int64)
 
 
 def _dod_tokens(dod: np.ndarray):
-    """Delta-of-delta tokens: returns (payload, nbits, payload2, nbits2)
-    where the second token is nonempty only for 64-bit raw escapes."""
-    n = dod.shape[0]
-    payload = np.zeros(n, dtype=np.uint64)
-    nbits = np.zeros(n, dtype=np.int64)
-    payload2 = np.zeros(n, dtype=np.uint64)
-    nbits2 = np.zeros(n, dtype=np.int64)
-    done = dod == 0
-    nbits[done] = 1
-    for pbits, prefix, plen, lim in _DOD_RANGES:
-        sel = (~done) & (np.abs(dod) <= lim)
-        if sel.any():
-            payload[sel] = (np.uint64(prefix) << np.uint64(pbits)) | _bias_encode(
-                dod[sel], pbits
-            )
-            nbits[sel] = plen + pbits
-            done |= sel
-    rest = ~done
-    if rest.any():
-        payload[rest] = (np.uint64(0b11111) << np.uint64(59)) | (
-            dod[rest].view(np.uint64) >> np.uint64(5)
-        )
-        nbits[rest] = 64
-        payload2[rest] = dod[rest].view(np.uint64) & np.uint64(0x1F)
-        nbits2[rest] = 5
+    """Delta-of-delta tokens of int64 values: ``(payload, nbits, payload2,
+    nbits2)``, where the second token is nonempty only for the 64-bit raw
+    escape ('11111' + top 59 bits, then the low 5 bits)."""
+    # |int64 min| wraps to itself, which reads as 2**63 unsigned
+    cls = np.searchsorted(_DOD_LIMS, np.abs(dod).view(np.uint64))
+    pbits = _DOD_PBITS[cls]
+    # payload = prefix | (value + half range), kept to the payload's bits
+    biased = dod.view(np.uint64) + ((np.uint64(1) << pbits) >> np.uint64(1))
+    low = (np.uint64(1) << pbits) - np.uint64(1)
+    payload = _DOD_PREFIX[cls] | (biased & low)
+    nbits = _DOD_NBITS[cls]
+    payload2 = np.zeros(dod.shape[0], dtype=np.uint64)
+    nbits2 = np.zeros(dod.shape[0], dtype=np.int64)
+    raw = cls == len(_DOD_RANGES) + 1
+    if raw.any():
+        word = dod[raw].view(np.uint64)
+        payload[raw] = (np.uint64(0b11111) << np.uint64(59)) | (word >> np.uint64(5))
+        payload2[raw] = word & np.uint64(0x1F)
+        nbits2[raw] = 5
     return payload, nbits, payload2, nbits2
+
+
+def _high_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the highest set bit of each nonzero uint64. The float64
+    cast may round up to the next power of two; the shift check undoes
+    that."""
+    _, exp = np.frexp(x.astype(np.float64))
+    hb = np.minimum(exp - 1, 63).astype(np.uint64)
+    return hb - ((x >> hb) == 0)
 
 
 def _xor_tokens(xor: np.ndarray):
-    """XOR value tokens (same return shape as _dod_tokens)."""
+    """XOR tokens of uint64 words (same return shape as
+    :func:`_dod_tokens`); a token longer than 64 bits is split into its
+    13-bit head and a continuation with the meaningful bits."""
     n = xor.shape[0]
-    payload = np.zeros(n, dtype=np.uint64)
-    nbits = np.ones(n, dtype=np.int64)  # '0' for identical
+    nz = xor != 0
+    safe = np.where(nz, xor, np.uint64(1))
+    lead = np.minimum(np.uint64(63) - _high_bit(safe), np.uint64(31))
+    trail = _high_bit(safe & (~safe + np.uint64(1)))  # of the lowest set bit
+    mlen = np.uint64(64) - lead - trail
+    meaningful = safe >> trail
+    head = (np.uint64(0b11 << 11)) | (lead << np.uint64(6)) | (mlen - np.uint64(1))
+    fits = mlen <= np.uint64(51)  # 13 + mlen <= 64
+    payload = np.where(fits, (head << (mlen & np.uint64(63))) | meaningful, head)
+    payload[~nz] = 0
+    nbits = np.where(fits, 13 + mlen.astype(np.int64), 13)
+    nbits[~nz] = 1
     payload2 = np.zeros(n, dtype=np.uint64)
     nbits2 = np.zeros(n, dtype=np.int64)
-    nz = xor != 0
-    if not nz.any():
-        return payload, nbits, payload2, nbits2
-    x = xor[nz]
-    hb = np.zeros(x.shape[0], dtype=np.int64)
-    v = x.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        msk = v >= (np.uint64(1) << np.uint64(shift))
-        hb[msk] += shift
-        v[msk] >>= np.uint64(shift)
-    lead = np.minimum(63 - hb, 31)
-    low = (x & (~x + np.uint64(1))).astype(np.uint64)
-    tb = np.zeros(x.shape[0], dtype=np.int64)
-    v = low.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        msk = v >= (np.uint64(1) << np.uint64(shift))
-        tb[msk] += shift
-        v[msk] >>= np.uint64(shift)
-    trail = tb
-    mlen = 64 - lead - trail
-    meaningful = x >> trail.astype(np.uint64)
-    head = (
-        (np.uint64(0b11) << np.uint64(11))
-        | (lead.astype(np.uint64) << np.uint64(6))
-        | (mlen - 1).astype(np.uint64)
-    )
-    total_bits = 13 + mlen
-    fits = total_bits <= 64
-    idx = np.flatnonzero(nz)
-    p = np.zeros(x.shape[0], dtype=np.uint64)
-    p[fits] = (head[fits] << mlen[fits].astype(np.uint64)) | meaningful[fits]
-    payload[idx[fits]] = p[fits]
-    nbits[idx] = np.where(fits, total_bits, 13)
-    if (~fits).any():
-        payload[idx[~fits]] = head[~fits]
-        payload2[idx[~fits]] = meaningful[~fits]
-        nbits2[idx[~fits]] = mlen[~fits]
+    split = nz & ~fits
+    if split.any():
+        payload2[split] = meaningful[split]
+        nbits2[split] = mlen[split]
     return payload, nbits, payload2, nbits2
 
 
+def _or_tokens(words: np.ndarray, start: np.ndarray, payload: np.ndarray, nbits: np.ndarray):
+    """OR tokens (each <= 64 bits, ``start`` strictly increasing bit
+    offsets) into big-endian 64-bit ``words``. A token lands in one word
+    or spills into the next; contributions to one word combine with one
+    ``bitwise_or.reduceat`` (no per-bit arrays)."""
+    if start.shape[0] == 0:
+        return
+    w = start >> 6
+    end = (start & 63).astype(np.uint64) + nbits.astype(np.uint64)
+    fits = end <= np.uint64(64)
+    # shift left to the token's place, or right by what spills over
+    part = np.where(
+        fits,
+        payload << ((np.uint64(64) - end) & np.uint64(63)),
+        payload >> ((end - np.uint64(64)) & np.uint64(63)),
+    )
+
+    def or_runs(idx, vals):
+        runs = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+        words[idx[runs]] |= np.bitwise_or.reduceat(vals, runs)
+
+    or_runs(w, part)
+    spill = ~fits
+    if spill.any():
+        or_runs(w[spill] + 1, payload[spill] << ((np.uint64(128) - end[spill]) & np.uint64(63)))
+
+
 def _encode_segments_raw(ts: np.ndarray, values: np.ndarray, starts: np.ndarray):
-    """Vectorized multi-segment encode core.
+    """The encoder: segment ``i`` is points ``starts[i]`` up to the next
+    start (or the end).
 
     Returns ``(data, seg_byte_start, seg_nbytes)`` where segment i's bytes
     are ``data[seg_byte_start[i] : seg_byte_start[i] + seg_nbytes[i]]`` and
     segments are contiguous (``data`` holds exactly ``sum(seg_nbytes)``
-    bytes). Byte-identical to calling :func:`encode` per segment.
+    bytes).
 
-    Token destinations are computed arithmetically (header(3) + 2 tokens
-    per ts pair + 2 per value pair, zero-length tokens are bit-layout
-    no-ops), so there is no sort and no per-segment Python anywhere.
+    A segment of ``n > 0`` points is ``2n + 1`` slots: count, first ts,
+    first value, ``n - 1`` ts and ``n - 1`` value tokens. Slot
+    destinations are computed arithmetically, so there is no sort and no
+    per-segment Python anywhere.
     """
     ts = np.ascontiguousarray(ts, dtype=np.int64)
     values = np.ascontiguousarray(values, dtype=np.float64)
     starts = np.ascontiguousarray(starts, dtype=np.int64)
     npts = ts.shape[0]
     nseg = starts.shape[0]
-    if nseg == 0:
-        return (
-            np.zeros(0, dtype=np.uint8),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-        )
-    ends = np.r_[starts[1:], npts]
-    counts = ends - starts
+    counts = np.diff(np.r_[starts, npts])
+    if npts == 0 or nseg == 0:  # no points: every segment is b""
+        return np.zeros(0, dtype=np.uint8), np.zeros(nseg, dtype=np.int64), counts
+
+    # ---- pairs (p, p + 1) inside one segment, and their dod / xor ----
     seg_id = np.repeat(np.arange(nseg), counts)
-
-    # ---- pair-level tokens (position p describes pair (p, p+1)) ----
-    valid = np.zeros(npts, dtype=bool)
-    valid[:-1] = seg_id[1:] == seg_id[:-1] if npts > 1 else False
-    pair_idx = np.flatnonzero(valid)  # positions of valid pairs, seg order
-    deltas = np.zeros(npts, dtype=np.int64)
-    if npts > 1:
-        deltas[:-1] = ts[1:] - ts[:-1]
-    # dod: first pair of each segment is delta vs implicit 0
-    prev_valid = np.zeros(npts, dtype=bool)
-    prev_valid[1:] = valid[:-1]
-    dod_all = np.where(prev_valid, deltas - np.r_[0, deltas[:-1]], deltas)
-    dod = dod_all[pair_idx]
+    is_head = np.zeros(npts, dtype=bool)
+    is_head[starts[counts > 0]] = True
+    pair = np.flatnonzero(~is_head[1:])
+    delta = np.diff(ts)
+    prev = np.zeros_like(delta)
+    prev[1:] = delta[:-1]
+    prev[is_head[:-1]] = 0  # a segment's first delta counts against 0
+    dod = (delta - prev)[pair]
     bits_v = values.view(np.uint64)
-    xor = np.zeros(npts, dtype=np.uint64)
-    if npts > 1:
-        xor[:-1] = bits_v[1:] ^ bits_v[:-1]
-    xor = xor[pair_idx]
+    xor = (bits_v[1:] ^ bits_v[:-1])[pair]
 
-    tp1, tb1, tp2, tb2 = _dod_tokens(dod)
-    vp1, vb1, vp2, vb2 = _xor_tokens(xor)
-    pair_seg = seg_id[pair_idx]
-    npairs = pair_seg.shape[0]
-
-    # ---- token layout per segment:
-    # [count, first_ts, first_val] + [tsA, tsB]*pairs + [valA, valB]*pairs
-    # (B tokens are the 64-bit escape continuations; nbits=0 when unused —
-    # a zero-length token occupies no bits and needs no filtering)
-    pairs_per_seg = np.bincount(pair_seg, minlength=nseg)
-    tok_per_seg = 3 + 4 * pairs_per_seg
-    seg_tok_start = np.r_[0, np.cumsum(tok_per_seg)[:-1]]
-    total_tokens = int(tok_per_seg.sum())
-
-    payloads = np.zeros(total_tokens, dtype=np.uint64)
-    nbits = np.zeros(total_tokens, dtype=np.int64)
-    hdr = (seg_tok_start[:, None] + np.arange(3)[None, :]).reshape(-1)
-    hdr_payload = np.empty(3 * nseg, dtype=np.uint64)
-    hdr_payload[0::3] = counts.astype(np.uint64)
-    hdr_payload[1::3] = ts[starts].view(np.uint64)
-    hdr_payload[2::3] = values[starts].view(np.uint64)
-    payloads[hdr] = hdr_payload
-    nbits[hdr] = 64
-    if npairs:
-        pair_seg_start = np.r_[0, np.cumsum(pairs_per_seg)[:-1]]
-        local = np.arange(npairs) - pair_seg_start[pair_seg]
-        base = seg_tok_start[pair_seg]
-        ts_dest = base + 3 + 2 * local
-        payloads[ts_dest] = tp1
-        nbits[ts_dest] = tb1
-        payloads[ts_dest + 1] = tp2
-        nbits[ts_dest + 1] = tb2
-        v_dest = base + 3 + 2 * pairs_per_seg[pair_seg] + 2 * local
-        payloads[v_dest] = vp1
-        nbits[v_dest] = vb1
-        payloads[v_dest + 1] = vp2
-        nbits[v_dest + 1] = vb2
-
-    # ---- global bit materialization with per-segment byte alignment ----
-    token_bit_start = np.r_[0, np.cumsum(nbits)[:-1]]
-    seg_bit_start = token_bit_start[seg_tok_start]
-    seg_bits = np.r_[seg_bit_start[1:], int(nbits.sum())] - seg_bit_start
-    seg_nbytes = (seg_bits + 7) // 8
-    seg_byte_start = np.r_[0, np.cumsum(seg_nbytes)[:-1]]
-    segs = np.repeat(np.arange(nseg), tok_per_seg)
-
-    # padded start bit of every token (segment byte alignment applied)
-    token_padded_start = (
-        seg_byte_start[segs] * 8 + token_bit_start - seg_bit_start[segs]
+    # ---- slot of every token ----
+    full = counts > 0
+    nslot = np.where(full, 2 * counts + 1, 0)
+    slot0 = np.cumsum(nslot) - nslot
+    head_slot = slot0[full]
+    pseg = seg_id[pair]
+    pair_slot = (slot0 - starts)[pseg] + 3 + pair  # the pair's ts slot
+    dod_slot = np.r_[head_slot, pair_slot]
+    xor_slot = np.r_[head_slot + 1, head_slot + 2, pair_slot - 1 + counts[pseg]]
+    heads = starts[full]
+    dp, db, dp2, db2 = _dod_tokens(np.r_[counts[full] - 1, dod])
+    xp, xb, xp2, xb2 = _xor_tokens(
+        np.r_[ts[heads].view(np.uint64), bits_v[heads], xor]
     )
-    # word-level materialization: each <=64-bit token lands in 1-2 big-endian
-    # uint64 words; tokens are position-sorted, so contributions per word
-    # combine with one bitwise_or.reduceat (no per-bit arrays)
-    total_words = (int(seg_nbytes.sum()) + 7) // 8 + 1
-    words = np.zeros(total_words, dtype=np.uint64)
-    w = token_padded_start >> 6
-    o = (token_padded_start & 63).astype(np.uint64)
-    end = o + nbits.astype(np.uint64)
-    first_fits = end <= 64
-    sh1 = np.where(first_fits, (64 - end) & np.uint64(63), (end - 64) & np.uint64(63))
-    part1 = np.where(
-        first_fits,
-        payloads << sh1,
-        payloads >> sh1,
-    )
-    # edge: end == 64 exactly -> shift 0 (covered by & 63 since 64-end == 0)
 
-    def or_scatter(dst, idx, vals):
-        # idx is non-decreasing; OR equal-index runs via reduceat
-        runs = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
-        combined = np.bitwise_or.reduceat(vals, runs)
-        dst[idx[runs]] |= combined
+    total_slots = int(nslot.sum())
+    payload = np.empty(total_slots, dtype=np.uint64)
+    slot_bits = np.empty(total_slots, dtype=np.int64)
+    payload[dod_slot] = dp
+    payload[xor_slot] = xp
+    slot_bits[dod_slot] = db + db2
+    slot_bits[xor_slot] = xb + xb2
 
-    or_scatter(words, w, part1)
-    spill = ~first_fits
-    if spill.any():
-        sh2 = (np.uint64(128) - end[spill]) & np.uint64(63)
-        part2 = payloads[spill] << sh2
-        or_scatter(words, w[spill] + 1, part2)
-    out_bytes = words.view(np.uint8).reshape(-1, 8)[:, ::-1].reshape(-1)
+    # ---- bit offsets, each segment padded to whole bytes ----
+    csum = np.r_[0, np.cumsum(slot_bits)]
+    seg_bit_start = csum[slot0]
+    seg_nbytes = (csum[slot0 + nslot] - seg_bit_start + 7) >> 3
+    seg_byte_start = np.cumsum(seg_nbytes) - seg_nbytes
+    pad = np.repeat(seg_byte_start * 8 - seg_bit_start, nslot)
+    slot_start = csum[:-1] + pad
     total = int(seg_nbytes.sum())
-    return out_bytes[:total], seg_byte_start, seg_nbytes
+    words = np.zeros((total + 7) // 8 + 1, dtype=np.uint64)
+    nbits = slot_bits.copy()
+    nbits[dod_slot] = db
+    nbits[xor_slot] = xb
+    _or_tokens(words, slot_start, payload, nbits)
+    # continuation tokens follow their slot's first token
+    cont = np.r_[dod_slot[db2 > 0], xor_slot[xb2 > 0]]
+    if cont.size:
+        order = np.argsort(cont)
+        _or_tokens(
+            words,
+            (slot_start[cont] + nbits[cont])[order],
+            np.r_[dp2[db2 > 0], xp2[xb2 > 0]][order],
+            np.r_[db2[db2 > 0], xb2[xb2 > 0]][order],
+        )
+    data = words.byteswap().view(np.uint8)[:total]
+    return data, seg_byte_start, seg_nbytes
 
 
-def encode_segments(ts: np.ndarray, values: np.ndarray, starts: np.ndarray):
-    """Encode many contiguous segments at once; byte-identical to calling
-    :func:`encode` per segment (list-of-bytes convenience wrapper around
+def encode(ts: np.ndarray, values: np.ndarray) -> bytes:
+    """Encode parallel int64 timestamps + float64 values (one segment of
     :func:`_encode_segments_raw`)."""
-    data, seg_byte_start, seg_nbytes = _encode_segments_raw(ts, values, starts)
-    return [
-        data[seg_byte_start[i] : seg_byte_start[i] + seg_nbytes[i]].tobytes()
-        for i in range(seg_byte_start.shape[0])
-    ]
+    data, _, _ = _encode_segments_raw(ts, values, np.zeros(1, dtype=np.int64))
+    return data.tobytes()
 
 
 def encode_segments_arrow(ts: np.ndarray, values: np.ndarray, starts: np.ndarray):
@@ -443,9 +270,43 @@ def encode_segments_arrow(ts: np.ndarray, values: np.ndarray, starts: np.ndarray
 #: bytes of the blob held in one Python int while decoding: shifts cost
 #: O(window), so a long blob is walked in windows instead of one huge int
 _WINDOW_BYTES = 256
-#: refill when fewer bits than this are left in the window (one point's
-#: longest timestamp token is 69 bits, its longest value token 77)
+#: refill when fewer bits than this are left in the window (the longest
+#: delta-of-delta token is 69 bits, the longest XOR token 77)
 _REFILL_BITS = 160
+
+
+def _dod_read_table() -> tuple:
+    """Delta-of-delta control (the next 5 bits) -> (token bits, payload
+    mask, bias)."""
+    table = [(1, 0, 0)] * 16  # '0'
+    for pbits, _, plen, _ in _DOD_RANGES:
+        table += [(plen + pbits, (1 << pbits) - 1, 1 << (pbits - 1))] * (1 << (5 - plen))
+    return tuple(table + [(69, _MASK64, 0)])  # '11111' + raw 64 bits
+
+
+_DOD_READ = _dod_read_table()
+
+
+def _read_dod(word: int, end: int, pos: int) -> tuple[int, int]:
+    """The delta-of-delta token at bit ``pos`` of ``word`` (whose last bit
+    is bit ``end - 1``): (its value, the bit just past it). A raw escape
+    reads as its unsigned 64-bit word."""
+    step, mask, bias = _DOD_READ[(word >> (end - pos - 5)) & 31]
+    pos += step
+    return ((word >> (end - pos)) & mask) - bias, pos
+
+
+def _read_xor(word: int, end: int, pos: int) -> tuple[int, int]:
+    """The XOR token at bit ``pos``: (the 64-bit word it holds, the bit
+    just past it)."""
+    ctl = (word >> (end - pos - 13)) & 0x1FFF
+    if not ctl >> 12:  # '0'
+        return 0, pos + 1
+    if ctl >> 11 != 0b11:
+        raise ValueError("corrupt Gorilla blob: expected a '11' XOR window")
+    mlen = (ctl & 63) + 1
+    pos += 13 + mlen
+    return ((word >> (end - pos)) & ((1 << mlen) - 1)) << (64 - ((ctl >> 6) & 31) - mlen), pos
 
 
 def decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -455,6 +316,8 @@ def decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     the blob (zero-padded so a read never runs past the end). Timestamps
     accumulate modulo 2**64, the inverse of the encoder's wrapping int64
     deltas, so any int64 series round-trips."""
+    if not data:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     buf = bytes(data) + bytes(_REFILL_BITS // 8)
 
     def window(pos: int) -> tuple[int, int]:
@@ -464,51 +327,35 @@ def decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         chunk = buf[first : first + _WINDOW_BYTES]
         return int.from_bytes(chunk, "big"), (first + len(chunk)) * 8
 
+    # the header (<= 223 bits) fits the first window
     word, end = window(0)
-    n = word >> (end - 64)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    pos = 192
-    head = (word >> (end - pos)) & ((1 << 128) - 1)
-    t, v = head >> 64, head & _MASK64
+    n, pos = _read_dod(word, end, 0)
+    n += 1
+    t, pos = _read_xor(word, end, pos)
+    v, pos = _read_xor(word, end, pos)
     ts, vals = [t] * n, [v] * n
     delta = 0
+    # the loops inline _read_dod / _read_xor: a call per point made long
+    # blobs ~15 % slower to decode
     for i in range(1, n):
         if end - pos < _REFILL_BITS:
             word, end = window(pos)
-        ctl = (word >> (end - pos - 5)) & 31
-        if ctl < 16:  # '0': delta unchanged
-            pos += 1
-        elif ctl < 24:  # '10' + 7 bits
-            pos += 9
-            delta += ((word >> (end - pos)) & 0x7F) - (1 << 6)
-        elif ctl < 28:  # '110' + 9 bits
-            pos += 12
-            delta += ((word >> (end - pos)) & 0x1FF) - (1 << 8)
-        elif ctl < 30:  # '1110' + 12 bits
-            pos += 16
-            delta += ((word >> (end - pos)) & 0xFFF) - (1 << 11)
-        elif ctl == 30:  # '11110' + 32 bits
-            pos += 37
-            delta += ((word >> (end - pos)) & 0xFFFFFFFF) - (1 << 31)
-        else:  # '11111' + raw 64 bits (two's complement: mod 2**64 as is)
-            pos += 69
-            delta += (word >> (end - pos)) & _MASK64
+        step, mask, bias = _DOD_READ[(word >> (end - pos - 5)) & 31]
+        pos += step
+        delta += ((word >> (end - pos)) & mask) - bias
         t = (t + delta) & _MASK64
         ts[i] = t
     for i in range(1, n):
         if end - pos < _REFILL_BITS:
             word, end = window(pos)
         ctl = (word >> (end - pos - 13)) & 0x1FFF
-        if ctl >> 12:  # '11' + 5-bit lead + 6-bit (length - 1) + bits
+        if ctl >> 12:
             if ctl >> 11 != 0b11:
                 raise ValueError("corrupt Gorilla blob: expected a '11' XOR window")
             mlen = (ctl & 63) + 1
             pos += 13 + mlen
-            v ^= ((word >> (end - pos)) & ((1 << mlen) - 1)) << (
-                64 - ((ctl >> 6) & 31) - mlen
-            )
-        else:  # '0': same value
+            v ^= ((word >> (end - pos)) & ((1 << mlen) - 1)) << (64 - ((ctl >> 6) & 31) - mlen)
+        else:
             pos += 1
         vals[i] = v
     return (

@@ -60,7 +60,9 @@ from ..stages.rollup import (
     hash_strings,
 )
 from ..state.checkpoint import (
+    _file_manifest,
     _manifest_path,
+    _restore_manifest,
     _write_partition,
     completed_partitions,
 )
@@ -223,17 +225,25 @@ def _fold_part(
     the old 1m points of the delta's conversations in this file, recompute
     them with the cached worker and rewrite the file. Returns
     ``(part, rows written)``, or ``(part, None)`` when the partition's
-    manifest already lists ``delta_path`` (idempotent rerun)."""
+    data file already holds ``delta_path`` (idempotent rerun).
+
+    The delta chain is read from the data file's footer, not from the
+    manifest: after a crash between the two writes the file holds the
+    delta and the manifest does not, and then the manifest is restored
+    from the file instead of folding the delta in twice."""
     manifest = None
     if os.path.exists(_manifest_path(out_dir, part)):
         with open(_manifest_path(out_dir, part)) as f:
             manifest = json.load(f)
-    chain = manifest["lineage"].get("deltas", []) if manifest else []
+    path = os.path.join(out_dir, f"part={part}", "data.parquet")
+    held = _file_manifest(path) if os.path.exists(path) else None
+    chain = held["lineage"].get("deltas", []) if held else []
     if delta_path in chain:
+        if manifest is None or delta_path not in manifest["lineage"].get("deltas", []):
+            _restore_manifest(out_dir, part, manifest)
         return part, None
     rows = pa.concat_tables([d.filter(pc.equal(d["part"], part)) for d in derived])
     hot_set = set(_resolve_hot(hot) or ())
-    path = os.path.join(out_dir, f"part={part}", "data.parquet")
     kept, sel = None, pa.table({})
     if os.path.exists(path):
         old = pq.read_table(path)
@@ -291,13 +301,15 @@ def update_rollup_job(
     row).
 
     Resumable + idempotent per partition: each rewritten partition's
-    manifest lineage records the applied delta chain; re-running the same
-    delta skips partitions that already carry it, so a rerun after a
-    crash between two partitions finishes the rest. A crash between one
-    partition's data write and its manifest write is NOT covered: the
-    new data sits under the old manifest and a rerun folds the delta
-    into it a second time. ``_job.json`` records the delta once every
-    partition has it; an empty delta changes nothing."""
+    lineage (in its data file's footer and in its manifest) records the
+    applied delta chain; re-running the same delta skips partitions whose
+    data file already carries it, so a rerun after a crash between two
+    partitions finishes the rest, and one after a crash between a
+    partition's data write and its manifest write restores that manifest
+    from the file. ``_job.json`` records the delta once every partition
+    has it; an empty delta changes nothing. A store written with another
+    points codec version is refused before any task runs (its
+    ``_job.json`` config fails ``RollupConfig.from_dict``)."""
     job_path = os.path.join(out_dir, "_job.json")
     with open(job_path) as f:
         prior = json.load(f)

@@ -105,8 +105,18 @@ class RollupConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RollupConfig":
-        """Inverse of :meth:`to_dict` (checkpoint-lineage round-trip)."""
+        """Inverse of :meth:`to_dict` (checkpoint-lineage round-trip).
+        Raises ``ValueError`` for a config recorded with another points
+        codec version (or none: stores from before versioning): its
+        blobs are not decoded, the store is rebuilt."""
         d = dict(d)
+        version = d.pop("points_codec", None)
+        if version != gorilla.FORMAT_VERSION:
+            raise ValueError(
+                f"the store's points codec is version {version}, this engine "
+                f"writes version {gorilla.FORMAT_VERSION}; rebuild the store "
+                "with run_rollup_job"
+            )
         for k in ("features", "tiers", "fill_levels"):
             if k in d:
                 d[k] = tuple(d[k])
@@ -131,6 +141,9 @@ class RollupConfig:
             "salt_window_days": self.salt_window_days,
             "store_points": self.store_points,
             "fill_value": fv_ser,
+            # not a field: the format of the points column, so a store in
+            # another format fails the lineage checks instead of decoding
+            "points_codec": gorilla.FORMAT_VERSION,
         }
 
 

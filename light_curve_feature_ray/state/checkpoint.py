@@ -6,7 +6,8 @@ engine-side design):
     out_dir/
       _job.json                     # config + input lineage + hot set
       part=<p>/
-        data.parquet                # tier rows of partition p
+        data.parquet                # tier rows of partition p; its footer
+                                    # repeats the manifest's lineage
         _manifest.json              # completion marker + stage record
 
 ``run_rollup_job`` is ``rollup_dataset`` (pipelines/rollup.py) over a
@@ -23,10 +24,12 @@ so a partition is complete iff its manifest exists. Each manifest holds
 a stage record (rows in, duplicates dropped, gap-filled points, points
 bytes per tier, worker wall and CPU seconds; per-operator snapshot
 metadata in the manner of Flink's state backends); :func:`job_report`
-sums them. On resume, completed partitions are dropped before the
-exchange, so a rerun only pays for the missing ones. Every stage is
-deterministic (fixed hashes, no RNG), so retries and resumes produce
-identical bytes.
+sums them. The data file's parquet schema metadata carries the same
+record less its timings, so an update can tell which deltas a file
+holds even when a crash left an older manifest beside it. On resume,
+completed partitions are dropped before the exchange, so a rerun only
+pays for the missing ones. Every stage is deterministic (fixed hashes,
+no RNG), so retries and resumes produce identical bytes.
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ def completed_partitions(out_dir: str) -> set[int]:
     return done
 
 
+#: parquet schema-metadata key of the manifest body a data file carries
+_FOOTER_KEY = b"rollup_manifest"
+#: stage-record fields that differ between two writes of the same rows;
+#: they stay out of the data file so a retry writes identical bytes
+_TIMINGS = ("worker_s", "worker_cpu_s")
+
+
 def _write_partition(
     table: pa.Table,
     out_dir: str,
@@ -72,20 +82,13 @@ def _write_partition(
     ``stage`` (the worker's stage record) is stored with the latter. After
     ``update_rollup_job`` rewrites a partition, its stage record is
     cumulative over the job and every fold applied to it (see
-    ``pipelines.update._stage``)."""
-    part_dir = os.path.join(out_dir, f"part={part}")
-    os.makedirs(part_dir, exist_ok=True)
-    tmp = os.path.join(part_dir, ".data.parquet.tmp")
-    pq.write_table(table, tmp)
-    final = os.path.join(part_dir, "data.parquet")
-    os.replace(tmp, final)
-    manifest = {
-        "partition": part,
-        "rows": table.num_rows,
-        "bytes": os.path.getsize(final),
-        "written_at": time.time(),
-        "lineage": lineage,
-    }
+    ``pipelines.update._stage``).
+
+    The data file's schema metadata carries the manifest too, lineage
+    included, less the file size, write time and worker seconds: a
+    crash between the two writes leaves a file that says which deltas
+    it holds (:func:`_file_manifest`, :func:`_restore_manifest`)."""
+    manifest: dict[str, Any] = {"partition": part, "rows": table.num_rows, "lineage": lineage}
     names = table.column_names
     if "tier" in names:
         counts = pc.value_counts(table["tier"]).to_pylist()
@@ -103,11 +106,49 @@ def _write_partition(
             )
     if stage is not None:
         manifest["stage"] = stage
+    footer = dict(manifest)
+    if stage is not None:
+        footer["stage"] = {k: v for k, v in stage.items() if k not in _TIMINGS}
+    metadata = dict(table.schema.metadata or {})
+    metadata[_FOOTER_KEY] = json.dumps(footer, sort_keys=True).encode()
+    part_dir = os.path.join(out_dir, f"part={part}")
+    os.makedirs(part_dir, exist_ok=True)
+    tmp = os.path.join(part_dir, ".data.parquet.tmp")
+    pq.write_table(table.replace_schema_metadata(metadata), tmp)
+    os.replace(tmp, os.path.join(part_dir, "data.parquet"))
+    return _commit_manifest(out_dir, manifest)
+
+
+def _commit_manifest(out_dir: str, body: dict[str, Any]) -> dict[str, Any]:
+    """Write a partition's manifest (``body`` plus the data file's size
+    and the write time) atomically: the partition's completion marker."""
+    part = body["partition"]
+    data = os.path.join(out_dir, f"part={part}", "data.parquet")
+    manifest = dict(body, bytes=os.path.getsize(data), written_at=time.time())
     tmp_m = _manifest_path(out_dir, part) + ".tmp"
     with open(tmp_m, "w") as f:
         json.dump(manifest, f)
     os.replace(tmp_m, _manifest_path(out_dir, part))
     return manifest
+
+
+def _file_manifest(path: str) -> dict[str, Any] | None:
+    """The manifest body a data file was written with, read from its
+    footer alone (None for a file written without one)."""
+    body = (pq.read_schema(path).metadata or {}).get(_FOOTER_KEY)
+    return None if body is None else json.loads(body)
+
+
+def _restore_manifest(out_dir: str, part: int, stale: dict | None) -> dict[str, Any]:
+    """Rewrite ``part``'s manifest from its data file after a crash
+    between the data write and the manifest write. Only the worker
+    seconds of the torn write are lost; ``stale`` (the manifest the crash
+    left behind, if any) keeps its own."""
+    body = _file_manifest(os.path.join(out_dir, f"part={part}", "data.parquet"))
+    old = (stale or {}).get("stage", {})
+    if "stage" in body:
+        body["stage"].update({k: old[k] for k in _TIMINGS if k in old})
+    return _commit_manifest(out_dir, body)
 
 
 def _summary_row(part: int | None, rows: int = 0) -> pa.Table:
@@ -175,12 +216,15 @@ def run_rollup_job(
             if resume
             else config.resolved(n_rows)
         )
+    # the config dict holds the points codec version, so a store in an
+    # older format fails here too
     same_lineage = resume and prior.get("config") == config.to_dict()
     if done and not same_lineage:
         raise ValueError(
             "refusing to resume: existing _job.json lineage in "
-            f"{out_dir!r} records a different input or config than this "
-            "run; use a fresh out_dir or pass the original config"
+            f"{out_dir!r} records a different input, config or points codec "
+            "than this run; use a fresh out_dir (rebuild the store) or pass "
+            "the original config"
         )
     num_blocks = auto_num_blocks(n_rows)
     if same_lineage:
@@ -264,12 +308,14 @@ def read_rollup_output(out_dir: str):
         os.path.join(out_dir, f"part={p}", "data.parquet")
         for p in sorted(completed_partitions(out_dir))
     ]
-    ds = rd.read_parquet(paths)
-    # the hive-style part=<p> directory names make the reader infer a
-    # "part" column that isn't in the written files -- drop it
-    if "part" in ds.schema().names:
-        ds = ds.drop_columns(["part"])
-    return ds
+    if not paths:
+        raise ValueError(f"no completed partitions in {out_dir!r}")
+    # the written schema without its footer (each file's describes that
+    # partition alone), and no "part" column inferred from the part=<p>
+    # directory names
+    return rd.read_parquet(
+        paths, schema=pq.read_schema(paths[0]).remove_metadata(), partitioning=None
+    )
 
 
 def write_dataset_partitioned(

@@ -1,10 +1,12 @@
 """Gorilla codec round-trip property tests (FIXTURES.md §E)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from light_curve_feature_ray.codec import decode, encode
+from light_curve_feature_ray.codec.gorilla import encode_segments_arrow
 
 
 def roundtrip(ts, values):
@@ -21,6 +23,7 @@ def roundtrip(ts, values):
 
 def test_empty():
     blob = encode(np.array([], dtype=np.int64), np.array([]))
+    assert blob == b""
     ts, v = decode(blob)
     assert ts.size == 0 and v.size == 0
 
@@ -102,40 +105,48 @@ def test_long_blob_every_token_class():
 
 
 def _reference_decode(blob: bytes):
-    """Plain bit-string walk of the format (the test's reference decoder)."""
+    """Plain bit-string walk of format version 2 (the test's reference
+    decoder): count - 1 as a delta-of-delta token, the first ts and the
+    first value as XOR tokens against 0, then the ts tokens, then the
+    value tokens, zero-padded to a whole byte."""
+    if not blob:
+        return np.empty(0, np.int64), np.empty(0, np.float64)
     bits = "".join(f"{b:08b}" for b in blob)
     pos = 0
 
     def take(k):
         nonlocal pos
         pos += k
+        assert pos <= len(bits), "token runs past the blob"
         return int(bits[pos - k : pos], 2)
 
-    n = take(64)
-    if n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    ts, vals = [take(64)], [take(64)]
-    delta = 0
-    for _ in range(1, n):
+    def dod_token():
         ones = 0
         while ones < 5 and take(1):
             ones += 1
         if ones == 5:
-            dod = take(64)
-        elif ones:
+            return take(64)
+        if ones:
             width = (7, 9, 12, 32)[ones - 1]
-            dod = take(width) - (1 << (width - 1))
-        else:
-            dod = 0
-        delta += dod
-        ts.append((ts[-1] + delta) % (1 << 64))
-    for _ in range(1, n):
+            return take(width) - (1 << (width - 1))
+        return 0
+
+    def xor_token():
         if take(1) == 0:
-            vals.append(vals[-1])
-            continue
+            return 0
         assert take(1) == 1
         lead, mlen = take(5), take(6) + 1
-        vals.append(vals[-1] ^ (take(mlen) << (64 - lead - mlen)))
+        return take(mlen) << (64 - lead - mlen)
+
+    n = dod_token() + 1
+    ts, vals = [xor_token()], [xor_token()]
+    delta = 0
+    for _ in range(1, n):
+        delta += dod_token()
+        ts.append((ts[-1] + delta) % (1 << 64))
+    for _ in range(1, n):
+        vals.append(vals[-1] ^ xor_token())
+    assert len(bits) - pos < 8 and int(bits[pos:] or "0", 2) == 0, "bad padding"
     return (
         np.array(ts, dtype=np.uint64).view(np.int64),
         np.array(vals, dtype=np.uint64).view(np.float64),
@@ -154,3 +165,75 @@ def test_decode_matches_reference_walk():
             got, want = decode(blob), _reference_decode(blob)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+
+
+def _assert_reference(ts, values):
+    blob = roundtrip(ts, values)
+    want = _reference_decode(blob)
+    np.testing.assert_array_equal(want[0], np.asarray(ts, dtype=np.int64))
+    np.testing.assert_array_equal(
+        want[1].view(np.uint64), np.asarray(values, dtype=np.float64).view(np.uint64)
+    )
+    return blob
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 256, 257, 2048, 2049])
+def test_count_boundaries(n):
+    # n - 1 crosses each delta-of-delta class of the count token
+    rng = np.random.default_rng(n)
+    ts = 1_700_000_000_000_000 + np.cumsum(rng.integers(0, 5_000_000, size=n))
+    _assert_reference(ts, rng.normal(size=n))
+
+
+_NAN_PAYLOAD = np.array([0x7FF0_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize(
+    "first",
+    # 0.0 is the all-zero '0' token; 2**-1000 * (1 + 2**-52) has 57
+    # meaningful bits, beyond the 51 that fit one token (the oversize split)
+    [0.0, -0.0, np.inf, _NAN_PAYLOAD, 2.0**-1000 * (1 + 2.0**-52), 57.0],
+)
+def test_first_value_boundaries(first):
+    for values in ([first], [first, first, 1.0], [first, 3.25, first]):
+        _assert_reference([10, 20, 30][: len(values)], values)
+
+
+@pytest.mark.parametrize(
+    "first", [0, -1, -1_700_000_000_000_000, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+)
+def test_first_ts_boundaries(first):
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    for follow in ([], [first, 7], [lo, hi], [0]):
+        _assert_reference(np.array([first] + follow, dtype=np.int64), np.arange(1.0, 2 + len(follow)))
+
+
+def test_dod_int64_min():
+    # a delta-of-delta of exactly int64 min has |dod| == dod < 0: it must
+    # take the raw escape, not the 7-bit class
+    lo = np.iinfo(np.int64).min
+    for ts in ([0, lo], [5, 5 + lo], [lo, 0, lo]):
+        _assert_reference(np.array(ts, dtype=np.int64), np.zeros(len(ts)))
+
+
+def test_encode_is_a_slice_of_the_batched_encoder():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        counts = rng.choice([0, 1, 2, 3, 40], size=int(rng.integers(1, 30)))
+        npts = int(counts.sum())
+        starts = np.cumsum(counts) - counts
+        steps = rng.choice([0, 1, 60_000_000, 10**9, 2**62], size=npts)
+        ts = 1_700_000_000_000_000 + np.cumsum(steps).astype(np.int64)
+        values = rng.normal(size=npts) * 10.0 ** rng.integers(-30, 30, size=npts)
+        values[rng.random(npts) < 0.3] = 4.0
+        blobs = encode_segments_arrow(ts, values, starts).to_pylist()
+        assert len(blobs) == counts.size
+        for blob, a, n in zip(blobs, starts, counts):
+            assert blob == encode(ts[a : a + n], values[a : a + n])
+
+
+def test_single_point_size():
+    # 1m buckets average < 2 points, so the header is most of the bytes:
+    # count '0', a 58-bit ts token and a 29-bit value token
+    blob = _assert_reference([1_700_000_000_123_456], [57.0])
+    assert len(blob) <= 12

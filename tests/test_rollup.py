@@ -229,6 +229,21 @@ def test_points_roundtrip_1m():
         assert row["n_points"] == len(sel)
 
 
+def test_config_dict_records_points_codec():
+    """The lineage dict records the points codec version (a constant, not
+    a field); reading a dict back refuses a missing or other version."""
+    cfg = RollupConfig(num_partitions=3, fill_value=0.0)
+    d = cfg.to_dict()
+    assert d["points_codec"] == gorilla.FORMAT_VERSION == 2
+    assert RollupConfig.from_dict(d) == cfg
+    for version in (None, 1, 3):
+        bad = dict(d, points_codec=version)
+        if version is None:
+            del bad["points_codec"]
+        with pytest.raises(ValueError, match="rebuild the store"):
+            RollupConfig.from_dict(bad)
+
+
 def test_gap_fill_exact_values():
     codes = np.zeros(3, dtype=np.int64)
     slots = np.array([10, 11, 15], dtype=np.int64)

@@ -403,3 +403,81 @@ def test_update_rollup_job_conv_bound(ray_session, tmp_path):
     parts, convs = ray.get(ids_ref)
     assert len(convs) == 2
     assert parts == sorted(set(ray.get(rows_ref)["part"].to_pylist()))
+
+
+def test_update_rollup_job_torn_partition(ray_session, tmp_path):
+    """A crash between a partition's data write and its manifest write
+    leaves the updated data under the pre-update manifest. The data
+    file's footer lists the delta, so a rerun restores the manifest from
+    the file instead of folding the delta in a second time."""
+    import json
+    import shutil
+
+    from light_curve_feature_ray.pipelines.rollup import rollup_table
+    from light_curve_feature_ray.pipelines.update import update_rollup_job
+    from light_curve_feature_ray.state.checkpoint import (
+        job_report,
+        read_rollup_output,
+    )
+
+    tbl = synth_transcripts_table(n_convs=12, mean_turns=30, hot_convs=0, seed=33)
+    df = tbl.to_pandas()
+    mask = _suffix_mask(df, 0.3, only_even_convs=True)
+    cfg = _cfg()
+    out_dir, delta_path = _job_store(tmp_path, df, mask, cfg)
+    backup = str(tmp_path / "backup")
+    shutil.copytree(out_dir, backup)
+
+    res = update_rollup_job(out_dir, delta_path)
+    p0 = res["partitions_rewritten"][0]
+    manifest = os.path.join(out_dir, f"part={p0}", "_manifest.json")
+    shutil.copy2(os.path.join(backup, f"part={p0}", "_manifest.json"), manifest)
+    data = _files(out_dir)[_data_file(out_dir, p0)]
+
+    res2 = update_rollup_job(out_dir, delta_path)
+    assert res2["partitions_rewritten"] == []
+    assert res2["partitions_skipped_applied"] == res["partitions_rewritten"]
+    assert _files(out_dir)[_data_file(out_dir, p0)] == data
+    with open(manifest) as f:
+        assert json.load(f)["lineage"]["deltas"] == [delta_path]
+
+    full = rollup_table(tbl, cfg).to_pandas()
+    updated = read_rollup_output(out_dir).to_pandas()
+    n_1m = int(updated.loc[updated["tier"] == "1m", "n_points"].sum())
+    assert n_1m == int(full.loc[full["tier"] == "1m", "n_points"].sum()) == 485
+    _assert_same(full, updated)
+    stage = job_report(out_dir)["stage"]
+    assert stage["rows_in"] == tbl.num_rows
+    assert stage["rows_in"] - stage["dups_dropped"] == n_1m
+
+
+def test_unversioned_store_refused(ray_session, tmp_path):
+    """A store written before the points codec was versioned (no
+    ``points_codec`` in its ``_job.json`` config) holds blobs this engine
+    does not decode: the update and a resume both refuse it, and no file
+    changes."""
+    import json
+
+    from light_curve_feature_ray.pipelines.update import update_rollup_job
+    from light_curve_feature_ray.state.checkpoint import run_rollup_job
+
+    tbl = synth_transcripts_table(n_convs=6, mean_turns=20, hot_convs=0, seed=3)
+    df = tbl.to_pandas()
+    mask = _suffix_mask(df, 0.3, only_even_convs=False)
+    cfg = _cfg()
+    out_dir, delta_path = _job_store(tmp_path, df, mask, cfg)
+    job_path = os.path.join(out_dir, "_job.json")
+    with open(job_path) as f:
+        job = json.load(f)
+    del job["config"]["points_codec"]
+    with open(job_path, "w") as f:
+        json.dump(job, f)
+
+    before = _files(out_dir)
+    with pytest.raises(ValueError, match="rebuild the store"):
+        update_rollup_job(out_dir, delta_path)
+    assert _files(out_dir) == before
+    # the same input and config: only the missing codec version differs
+    with pytest.raises(ValueError, match="refusing to resume"):
+        run_rollup_job(str(tmp_path / "old.parquet"), out_dir, cfg)
+    assert _files(out_dir) == before
