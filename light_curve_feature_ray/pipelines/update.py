@@ -53,6 +53,7 @@ import ray
 
 from ..codec import gorilla
 from ..stages.rollup import (
+    US_PER_MIN,
     DeriveAssign,
     RollupConfig,
     RollupWorker,
@@ -74,7 +75,6 @@ from .rollup import (
     _worker_key,
 )
 
-US_PER_MIN = 60 * 1_000_000
 _DELTA_OFFSET = np.int64(2) ** 31
 _POS_BITS = 21  # max 2**21 points per (conv, minute) bucket in okey
 

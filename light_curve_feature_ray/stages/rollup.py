@@ -14,14 +14,16 @@ Pipeline shape (SURVEY.md §3, §7):
 2. ``groupby("part").map_groups``: THE single all-to-all exchange. Each
    partition is processed wholly inside one task by :class:`RollupWorker`:
    lexsort by (conv, turn_idx), first-wins dedup of (conv_id, turn_idx),
-   then the tier cascade:
+   then the tier cascade, one step per ``TIERS`` entry:
 
-   - tier 1m: features over the raw points of each (conv, minute) bucket
-     (vectorized across all buckets via features/grouped.py);
-   - the 1m *bin series* (Bins semantics, reference
+   - the 1m tier reads the raw points; each later tier reads the
+     previous tier's *bin series* (Bins semantics, reference
      /root/reference/src/features/bins.rs:171-201: t* = center, m* =
-     weighted mean, w* = sum(w)/N) is gap-filled (prev/linear) and feeds
-     tier 1h; the 1h bin series is gap-filled and feeds tier 1d.
+     weighted mean, w* = sum(w)/N), gap-filled (prev/linear) when the
+     previous tier is in ``fill_levels``;
+   - a step buckets its series by the tier width, evaluates the features
+     of every (conv, bucket) at once (features/grouped.py) when the tier
+     is requested, and the cascade stops after the last requested tier;
    - per bucket, the points that fed the tier are stored Gorilla-compressed
      (codec/gorilla.py) in a binary column.
 
@@ -48,9 +50,14 @@ from ..features.extractor import FeatureExtractor
 from ..features.grouped import GroupedSuite
 
 US_PER_MIN = 60_000_000
+MIN_PER_DAY = 1440  # salt windows are whole days
 
-#: tier name -> (bucket width in minutes, source: "raw" | previous tier)
+#: tier name -> bucket width in minutes, in cascade order: the first tier
+#: reads the raw points, each later one the previous tier's gap-filled bins
 TIERS = {"1m": 1, "1h": 60, "1d": 1440}
+#: tiers whose bin series may be gap-filled (the last tier's bins feed none)
+FILL_LEVELS = ("1m", "1h")
+GAP_FILL_MODES = ("none", "prev", "linear")
 
 DEFAULT_FEATURES: tuple = (
     "observation_count",
@@ -75,8 +82,8 @@ DEFAULT_FEATURES: tuple = (
 class RollupConfig:
     features: tuple = DEFAULT_FEATURES
     tiers: tuple = ("1m", "1h", "1d")
-    gap_fill: str = "linear"  # "none" | "prev" | "linear"
-    fill_levels: tuple = ("1m", "1h")  # which bin series get gap-filled
+    gap_fill: str = "linear"  # one of GAP_FILL_MODES
+    fill_levels: tuple = FILL_LEVELS  # which bin series get gap-filled
     max_fill_gap: int = 2880  # max missing slots filled per gap (None = all)
     #: None = auto-size at pipeline entry (``auto_num_partitions``:
     #: a rows-per-partition target band instead of a fixed constant, so the
@@ -86,6 +93,24 @@ class RollupConfig:
     salt_window_days: int = 1
     store_points: bool = True
     fill_value: float = float("nan")
+
+    def __post_init__(self):
+        unknown = [t for t in self.tiers if t not in TIERS]
+        if unknown:
+            raise ValueError(f"unknown tiers {unknown}; tiers are {list(TIERS)}")
+        unknown = [t for t in self.fill_levels if t not in FILL_LEVELS]
+        if unknown:
+            raise ValueError(
+                f"fill_levels {unknown} not in {list(FILL_LEVELS)}"
+            )
+        if self.gap_fill not in GAP_FILL_MODES:
+            raise ValueError(
+                f"gap_fill {self.gap_fill!r} not in {list(GAP_FILL_MODES)}"
+            )
+        if self.salt_window_days < 1:
+            raise ValueError(
+                f"salt_window_days must be >= 1, got {self.salt_window_days}"
+            )
 
     def extractor(self) -> FeatureExtractor:
         return FeatureExtractor.from_config(list(self.features))
@@ -542,13 +567,6 @@ def _gap_fill(
     return out_codes, out_slot, out_m, out_w
 
 
-def _encode_points(
-    ts_us: np.ndarray, m: np.ndarray, starts: np.ndarray
-) -> pa.Array:
-    # Arrow-native: packed buffer + offsets, no per-bucket Python objects
-    return gorilla.encode_segments_arrow(ts_us, m, starts)
-
-
 class RollupWorker:
     """Reduce-side callable: processes one partition table into tier rows.
 
@@ -558,9 +576,9 @@ class RollupWorker:
     which salt windows co-hash into this partition.
 
     After each call ``last_stats`` holds that call's stage record: rows
-    in, duplicates dropped, gap-filled points (both fill levels), and
-    the call's wall and CPU seconds. Partition writers put it in the
-    manifest (state/checkpoint.py).
+    in, duplicates dropped, gap-filled points (of the bin series that
+    feed a requested tier), and the call's wall and CPU seconds.
+    Partition writers put it in the manifest (state/checkpoint.py).
     """
 
     def __init__(self, config: RollupConfig, hot_list: Iterable[str] | None = None):
@@ -574,10 +592,9 @@ class RollupWorker:
         """Boolean mask over dictionary codes: which convs are hot."""
         if not self.hot:
             return None
-        mask = np.fromiter(
-            (v in self.hot for v in dictionary.to_pylist()),
-            dtype=bool,
-            count=len(dictionary),
+        value_set = pa.array(list(self.hot), type=dictionary.type)
+        mask = pc.is_in(dictionary, value_set=value_set).to_numpy(
+            zero_copy_only=False
         )
         return mask if mask.any() else None
 
@@ -586,18 +603,16 @@ class RollupWorker:
         dictionary: pa.Array,
         codes: np.ndarray,
         bucket_us: np.ndarray,
-        starts: np.ndarray,
         feats: dict[str, np.ndarray],
         points: pa.Array | None,
         tier: str,
         n_pts: np.ndarray,
     ) -> pa.Table:
-        nseg = starts.shape[0]
         cols: dict[str, Any] = {
             "conv_id": pa.DictionaryArray.from_arrays(
                 pa.array(codes, type=pa.int32()), dictionary
             ).cast(pa.string()),
-            "tier": pa.array(np.repeat(tier, nseg), type=pa.string()),
+            "tier": pa.array(np.repeat(tier, codes.shape[0]), type=pa.string()),
             "bucket_ts": pa.array(bucket_us, type=pa.timestamp("us")),
             "n_points": pa.array(n_pts, type=pa.int64()),
         }
@@ -636,143 +651,75 @@ class RollupWorker:
             # Ray retries/runs, so break ties on (min ts_us, then min m) —
             # resume/retry must produce identical bytes (state/checkpoint.py)
             order = np.lexsort((m, ts_us, turn, codes))
-            codes, turn, ts_us, m = (
-                codes[order],
-                turn[order],
-                ts_us[order],
-                m[order],
-            )
+            codes, turn, ts_us, m = (x[order] for x in (codes, turn, ts_us, m))
             keep[1:] = (codes[1:] != codes[:-1]) | (turn[1:] != turn[:-1])
             codes, turn, ts_us, m = codes[keep], turn[keep], ts_us[keep], m[keep]
             stats["dups_dropped"] = batch.num_rows - codes.shape[0]
         w = np.ones_like(m)
 
-        tables = []
-        # ---- tier 1m: features over raw points --------------------------
-        slot = ts_us // US_PER_MIN  # integer minute index
+        # the series a tier reads: (codes, slot) sorted, ``unit`` minutes
+        # per slot, times t (s) and ts_us; first the raw points
+        slot, unit = ts_us // US_PER_MIN, 1
         # within conv, turn order is normally time order already — verify
         # with one cheap pass and only re-sort when a conv's ts regresses
-        sorted_ok = bool(
-            np.all((codes[1:] != codes[:-1]) | (slot[1:] >= slot[:-1]))
-        )
-        if not sorted_ok:
-            order2 = np.lexsort((turn, slot, codes))
-            codes, turn, ts_us, m, slot = (
-                x[order2] for x in (codes, turn, ts_us, m, slot)
-            )
-        t_sec = ts_us.astype(np.float64) / 1e6
-        starts = _segment_starts(codes, slot)
-        if "1m" in cfg.tiers:
-            feats = self.suite.eval(t_sec, m, w, starts)
-            points = (
-                _encode_points(ts_us, m, starts) if cfg.store_points else None
-            )
-            ends = np.r_[starts[1:], codes.shape[0]]
-            tables.append(
-                self._tier_table(
-                    dictionary,
-                    codes[starts],
-                    slot[starts] * US_PER_MIN,
-                    starts,
-                    feats,
-                    points,
-                    "1m",
-                    (ends - starts).astype(np.int64),
-                )
-            )
-
-        # ---- 1m bin series -> gap-fill -> 1h ----------------------------
-        codes_b, slot_b, m_b, w_b = _bin_series(codes, slot, m, w, starts)
-        mode_1m = cfg.gap_fill if "1m" in cfg.fill_levels else "none"
+        if not np.all((codes[1:] != codes[:-1]) | (slot[1:] >= slot[:-1])):
+            order = np.lexsort((turn, slot, codes))
+            codes, ts_us, m, slot = (x[order] for x in (codes, ts_us, m, slot))
+        t = ts_us / 1e6
         hot_codes = self._hot_codes(dictionary)
-        seg_b = None
-        if hot_codes is not None:
-            sw = slot_b // (1440 * cfg.salt_window_days)
-            seg_b = np.where(hot_codes[codes_b], sw, 0)
-        codes_f, slot_f, m_f, w_f = _gap_fill(
-            codes_b, slot_b, m_b, w_b, mode_1m, cfg.max_fill_gap, seg_b
-        )
-        stats["gap_filled"] += codes_f.shape[0] - codes_b.shape[0]
-        if "1h" in cfg.tiers or "1d" in cfg.tiers:
-            hour = slot_f // 60
-            t_f = (slot_f * 60 + 30).astype(np.float64)  # 1m bin centers, sec
-            ts_f_us = (slot_f * 60 + 30) * 1_000_000
-            starts_h = _segment_starts(codes_f, hour)
-            if "1h" in cfg.tiers:
-                feats_h = self.suite.eval(t_f, m_f, w_f, starts_h)
-                points_h = (
-                    _encode_points(ts_f_us, m_f, starts_h)
-                    if cfg.store_points
-                    else None
-                )
-                ends_h = np.r_[starts_h[1:], codes_f.shape[0]]
+        todo = set(cfg.tiers)
+        tables = []
+        for level, (tier, width) in enumerate(TIERS.items()):
+            bucket = slot // (width // unit)
+            starts = _segment_starts(codes, bucket)
+            if tier in todo:
+                todo.discard(tier)
+                points = None
+                feats = self.suite.eval(t, m, w, starts)
+                if cfg.store_points:
+                    points = gorilla.encode_segments_arrow(ts_us, m, starts)
                 tables.append(
                     self._tier_table(
                         dictionary,
-                        codes_f[starts_h],
-                        hour[starts_h] * (60 * US_PER_MIN),
-                        starts_h,
-                        feats_h,
-                        points_h,
-                        "1h",
-                        (ends_h - starts_h).astype(np.int64),
+                        codes[starts],
+                        bucket[starts] * (width * US_PER_MIN),
+                        feats,
+                        points,
+                        tier,
+                        np.diff(np.r_[starts, codes.shape[0]]),
                     )
                 )
-
-            # ---- 1h bin series -> gap-fill -> 1d ------------------------
-            if "1d" in cfg.tiers:
-                codes_hb, hour_hb, m_hb, w_hb = _bin_series(
-                    codes_f, hour, m_f, w_f, starts_h
-                )
-                max_gap_h = (
-                    None
-                    if cfg.max_fill_gap is None
-                    else max(cfg.max_fill_gap // 60, 1)
-                )
-                mode_1h = cfg.gap_fill if "1h" in cfg.fill_levels else "none"
-                seg_hb = None
-                if hot_codes is not None:
-                    sw_h = hour_hb // (24 * cfg.salt_window_days)
-                    seg_hb = np.where(hot_codes[codes_hb], sw_h, 0)
-                codes_g, hour_g, m_g, w_g = _gap_fill(
-                    codes_hb, hour_hb, m_hb, w_hb, mode_1h, max_gap_h, seg_hb
-                )
-                stats["gap_filled"] += codes_g.shape[0] - codes_hb.shape[0]
-                day = hour_g // 24
-                t_g = (hour_g * 3600 + 1800).astype(np.float64)
-                ts_g_us = (hour_g * 3600 + 1800) * 1_000_000
-                starts_d = _segment_starts(codes_g, day)
-                feats_d = self.suite.eval(t_g, m_g, w_g, starts_d)
-                points_d = (
-                    _encode_points(ts_g_us, m_g, starts_d)
-                    if cfg.store_points
-                    else None
-                )
-                ends_d = np.r_[starts_d[1:], codes_g.shape[0]]
-                tables.append(
-                    self._tier_table(
-                        dictionary,
-                        codes_g[starts_d],
-                        day[starts_d] * (1440 * US_PER_MIN),
-                        starts_d,
-                        feats_d,
-                        points_d,
-                        "1d",
-                        (ends_d - starts_d).astype(np.int64),
-                    )
-                )
+            if not todo:
+                break
+            # this tier's bin series, gap-filled, is the next tier's input
+            n_bins = starts.shape[0]
+            codes, slot, m, w = _bin_series(codes, bucket, m, w, starts)
+            unit = width
+            cap = cfg.max_fill_gap
+            if cap is not None and level:
+                # coarser bins fill at least one slot; at the finest level
+                # 0 keeps meaning no fill
+                cap = max(cap // unit, 1)
+            seg = None
+            if hot_codes is not None:
+                window = slot // (MIN_PER_DAY * cfg.salt_window_days // unit)
+                seg = np.where(hot_codes[codes], window, 0)
+            mode = cfg.gap_fill if tier in cfg.fill_levels else "none"
+            codes, slot, m, w = _gap_fill(codes, slot, m, w, mode, cap, seg)
+            stats["gap_filled"] += codes.shape[0] - n_bins
+            ts_us = slot * (unit * US_PER_MIN) + unit * US_PER_MIN // 2
+            t = ts_us / 1e6  # bin centres
 
         return pa.concat_tables(tables) if tables else self._empty()
 
     def _empty(self) -> pa.Table:
-        cols: dict[str, Any] = {
-            "conv_id": pa.array([], type=pa.string()),
-            "tier": pa.array([], type=pa.string()),
-            "bucket_ts": pa.array([], type=pa.timestamp("us")),
-            "n_points": pa.array([], type=pa.int64()),
-        }
-        if self.config.store_points:
-            cols["points"] = pa.array([], type=pa.binary())
-        for name in self.feature_names:
-            cols[name] = pa.array([], type=pa.float64())
-        return pa.table(cols)
+        empty = np.empty(0, dtype=np.int64)
+        return self._tier_table(
+            pa.array([], type=pa.string()),
+            empty,
+            empty,
+            {name: np.empty(0) for name in self.feature_names},
+            pa.array([], type=pa.binary()) if self.config.store_points else None,
+            "",
+            empty,
+        )

@@ -2,6 +2,8 @@
 per-conversation composition of the pure per-series kernel (Series + Bins +
 gap-fill), per FIXTURES.md §E."""
 
+import itertools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -36,7 +38,13 @@ SIMPLE_FEATURES = (
 
 
 def naive_rollup(table: pa.Table, cfg: RollupConfig) -> pd.DataFrame:
-    """Slow, obviously-correct per-conv implementation used as the oracle."""
+    """Slow, obviously-correct per-conv implementation used as the oracle.
+
+    Honours ``cfg.tiers`` (rows of other tiers are dropped),
+    ``cfg.fill_levels`` (which bin series are gap-filled) and
+    ``cfg.max_fill_gap`` (the 1m bins fill gaps of at most that many
+    minutes, 0 = none; the 1h bins at most ``max(max_fill_gap // 60, 1)``
+    hours)."""
     extractor = FeatureExtractor.from_config(list(cfg.features))
     names = extractor.names()
     df = table.to_pandas()
@@ -71,7 +79,8 @@ def naive_rollup(table: pa.Table, cfg: RollupConfig) -> pd.DataFrame:
         bm = smw / sw
         bw = sw / cnt
         # gap-fill
-        fj, fm, fw = naive_gap_fill(uj, bm, bw, cfg.gap_fill, cfg.max_fill_gap)
+        mode_1m = cfg.gap_fill if "1m" in cfg.fill_levels else "none"
+        fj, fm, fw = naive_gap_fill(uj, bm, bw, mode_1m, cfg.max_fill_gap)
 
         # --- 1h from filled 1m bins
         hour = fj // 60
@@ -99,7 +108,8 @@ def naive_rollup(table: pa.Table, cfg: RollupConfig) -> pd.DataFrame:
         max_gap_h = (
             None if cfg.max_fill_gap is None else max(cfg.max_fill_gap // 60, 1)
         )
-        fh, fhm, fhw = naive_gap_fill(uh, hm, hw, cfg.gap_fill, max_gap_h)
+        mode_1h = cfg.gap_fill if "1h" in cfg.fill_levels else "none"
+        fh, fhm, fhw = naive_gap_fill(uh, hm, hw, mode_1h, max_gap_h)
         day = fh // 24
         ht = fh * 3600.0 + 1800.0
         for d in np.unique(day):
@@ -114,7 +124,8 @@ def naive_rollup(table: pa.Table, cfg: RollupConfig) -> pd.DataFrame:
                 }
                 | dict(zip(names, vals))
             )
-    return pd.DataFrame(rows)
+    want = pd.DataFrame(rows)
+    return want[want["tier"].isin(cfg.tiers)]
 
 
 def naive_gap_fill(slots, m, w, mode, max_gap):
@@ -157,11 +168,37 @@ def compare_frames(got: pd.DataFrame, want: pd.DataFrame, names):
         )
 
 
-@pytest.mark.parametrize("gap_fill", ["none", "prev", "linear"])
-def test_cascade_matches_naive(gap_fill):
+ALL_TIERS = ("1m", "1h", "1d")
+BOTH_LEVELS = ("1m", "1h")
+
+
+def _naive_cases():
+    """The defaults per gap_fill mode (ids ``none``/``prev``/``linear``),
+    then every (tiers, fill_levels, max_fill_gap) of the grid below for
+    the two modes that fill (fill levels and caps are moot under none)."""
+    for gap_fill in ("none", "prev", "linear"):
+        yield pytest.param(gap_fill, ALL_TIERS, BOTH_LEVELS, 2880, id=gap_fill)
+    grid = itertools.product(
+        ("prev", "linear"),
+        (ALL_TIERS, ("1h",), ("1m", "1d")),
+        (BOTH_LEVELS, ("1h",), ()),
+        (0, 3, None),
+    )
+    for gap_fill, tiers, levels, max_gap in grid:
+        case = f"{gap_fill}-{'+'.join(tiers)}-fill{'+'.join(levels)}-gap{max_gap}"
+        yield pytest.param(gap_fill, tiers, levels, max_gap, id=case)
+
+
+@pytest.mark.parametrize(
+    "gap_fill,tiers,fill_levels,max_fill_gap", list(_naive_cases())
+)
+def test_cascade_matches_naive(gap_fill, tiers, fill_levels, max_fill_gap):
     cfg = RollupConfig(
         features=SIMPLE_FEATURES,
+        tiers=tiers,
         gap_fill=gap_fill,
+        fill_levels=fill_levels,
+        max_fill_gap=max_fill_gap,
         store_points=False,
         hot_threshold=None,
     )
@@ -242,6 +279,62 @@ def test_config_dict_records_points_codec():
             del bad["points_codec"]
         with pytest.raises(ValueError, match="rebuild the store"):
             RollupConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [
+        ({"tiers": ("5m",)}, "unknown tiers"),
+        ({"tiers": ("1m", "1w")}, "unknown tiers"),
+        ({"fill_levels": ("1d",)}, "fill_levels"),
+        ({"gap_fill": "linaer"}, "gap_fill"),
+        ({"salt_window_days": 0}, "salt_window_days"),
+    ],
+)
+def test_config_rejects_bad_values(bad, match):
+    """A config the cascade cannot run fails at construction, not with 0
+    rows or inside a reduce task; valid configs round-trip unchanged."""
+    with pytest.raises(ValueError, match=match):
+        RollupConfig(**bad)
+    good = RollupConfig(
+        tiers=("1d", "1m"),
+        gap_fill="prev",
+        fill_levels=(),
+        salt_window_days=3,
+        fill_value=0.0,
+    )
+    assert RollupConfig.from_dict(good.to_dict()) == good
+    with pytest.raises(ValueError, match=match):
+        RollupConfig.from_dict(dict(good.to_dict(), **bad))
+
+
+def test_gap_filled_counts_only_fills_a_tier_reads():
+    """The stage record's ``gap_filled`` counts the fills of the bin
+    series that feed a requested tier: none when 1m is the last tier, and
+    for (1m, 1h) exactly the 1h tier's points beyond the 1m buckets."""
+    from light_curve_feature_ray.stages.rollup import DeriveAssign, RollupWorker
+
+    tbl = synth_transcripts_table(n_convs=10, mean_turns=80, hot_convs=0, seed=4)
+
+    def run(tiers):
+        cfg = RollupConfig(
+            features=("observation_count",),
+            tiers=tiers,
+            gap_fill="prev",
+            num_partitions=1,
+            hot_threshold=None,
+            store_points=False,
+        )
+        worker = RollupWorker(cfg)
+        out = worker(DeriveAssign(cfg)(tbl))
+        return out, worker.last_stats["gap_filled"]
+
+    out_1m, filled_1m = run(("1m",))
+    assert filled_1m == 0
+    out, filled = run(("1m", "1h"))
+    hour = out.filter(pc.equal(out["tier"], "1h"))
+    assert filled == pc.sum(hour["n_points"]).as_py() - out_1m.num_rows > 0
+    assert out.filter(pc.equal(out["tier"], "1m")).equals(out_1m)
 
 
 def test_gap_fill_exact_values():
