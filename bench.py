@@ -78,11 +78,9 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
 
     sf = sf_of(sf_dir)
     path = bench_input(sf)
-    # 4 blocks/cpu: the reduce side of the one hash exchange runs one task
-    # per sorted output block (= input block count), so block count IS the
-    # reduce parallelism; 4/cpu gives 4 waves that smooth the boundary-
-    # quantization tail (profiled round 3: 16 blocks at 8 cpus left a
-    # 4.6s straggler reduce task vs 0.9s max at 32 blocks)
+    # 4 blocks/cpu: each block is one derive + pack map task and one split
+    # task of the routed exchange; the reduce side runs one task per
+    # partition (P below)
     num_blocks = 4 * num_cpus
     # warm the page cache so we measure compute + shuffle, not first read
     turns = read_transcripts(path).count()
@@ -108,10 +106,9 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     timings: dict[str, float] = {}
 
     # ---- headline: full three-tier rollup, headline features + gorilla ----
-    # P=192 at every leg: finer groups let the sort's equal-row boundaries
-    # balance reduce blocks (round-3 profile: P=192/NB=32 beat P=96/NB=16
-    # by ~5% at 8 cpus with a stable repeat spread), and a fixed P keeps
-    # the scaling legs' work byte-identical
+    # P=192 at every leg: many more reduce tasks than CPUs smooth the
+    # straggler tail, and a fixed P keeps the scaling legs' work
+    # byte-identical
     cfg = RollupConfig(
         num_partitions=192,
         hot_threshold=20_000,

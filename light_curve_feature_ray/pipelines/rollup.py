@@ -1,28 +1,41 @@
-"""End-to-end rollup pipelines over ray.data Datasets.
+"""End-to-end rollup pipelines.
 
-``rollup_dataset`` is the one production path: derive (``DeriveAssign``)
-→ pack (``pack_derived``) → ONE ``groupby("part")`` exchange →
-:class:`RollupWorker` per partition, streaming, lazy. Its ``sink`` hook
-hands each partition's tier rows to a writer inside the reduce task:
-``run_rollup_job`` (state/checkpoint.py) is this pipeline at sized read
-blocks plus the job's bookkeeping (lineage, resume filter, recorded hot
-set) and the shared partition writer. ``rollup_table`` is the in-process
-reference (no Ray) that the parity tests compare against.
+Both production entry points run derive (``DeriveAssign``) → pack
+(``pack_derived``) → ONE routed exchange (stages/exchange.py) →
+:class:`RollupWorker` per partition, and both end in the same reduce
+task (:func:`_rollup_part`), which runs the cached worker and then an
+optional ``sink`` that hands the partition's tier rows to a writer:
+
+- ``rollup_dataset(ds)`` keeps its Ray Data read → derive → pack map, so
+  the wide ``text`` column never enters the object store; each packed
+  block goes to a split task. It executes when called and returns a
+  Dataset over the reduce outputs.
+- ``run_rollup_job`` (state/checkpoint.py) runs on plain Ray tasks over
+  :func:`input_units` (row-group ranges of the input files, from parquet
+  metadata): one map task per unit reads, derives, packs and splits
+  (:func:`rollup_units`); the job adds its bookkeeping (lineage, resume
+  filter, recorded hot set) and the shared partition writer.
+
+``rollup_table`` is the in-process reference (no Ray) that the parity
+tests compare against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import pyarrow as pa
-import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
 
+from ..stages.exchange import exchange, route, split_by_part
 from ..stages.rollup import (
+    ROWS_PER_BLOCK,
     DeriveAssign,
     RollupConfig,
     RollupWorker,
@@ -52,15 +65,56 @@ def read_transcripts(
 ):
     """Prune at the read: the rollup needs only 4 of the 6 input columns.
 
-    ``num_blocks`` sets the block count — Ray otherwise makes one or more
-    blocks per file, and the exchange's cost grows with blocks x reduce
-    partitions; ``stages.rollup.auto_num_blocks`` is the library's rule
-    (4 per CPU, more only for very large inputs)."""
+    ``num_blocks`` sets the block count; Ray otherwise makes one or more
+    blocks per file. Every block is one split task of the exchange."""
     columns = INPUT_COLUMNS if for_rollup else None
     kwargs = {}
     if num_blocks is not None:
         kwargs["override_num_blocks"] = num_blocks
     return rd.read_parquet(path, columns=columns, **kwargs)
+
+
+def parquet_files(path: str) -> list[str]:
+    """The parquet files at ``path``: the file itself, or every data file
+    under a directory (names starting with ``.`` or ``_`` are skipped)."""
+    import pyarrow.dataset as pads
+
+    return sorted(pads.dataset(path, format="parquet").files)
+
+
+@dataclass(frozen=True)
+class InputUnit:
+    """A range of one parquet file's row groups: the input of one map
+    task of ``run_rollup_job``."""
+
+    path: str
+    row_groups: tuple[int, ...]
+    rows: int
+
+    def read(self, columns: list[str]) -> pa.Table:
+        with pq.ParquetFile(self.path) as f:
+            return f.read_row_groups(list(self.row_groups), columns=columns)
+
+
+def input_units(path: str) -> list[InputUnit]:
+    """Split the input into units from parquet metadata alone: runs of
+    consecutive row groups of one file, at most ``ROWS_PER_BLOCK`` rows
+    each unless one row group alone holds more. Empty files give none."""
+    units = []
+    for file in parquet_files(path):
+        meta = pq.read_metadata(file)
+        groups: list[int] = []
+        rows = 0
+        for g in range(meta.num_row_groups):
+            n = meta.row_group(g).num_rows
+            if groups and rows + n > ROWS_PER_BLOCK:
+                units.append(InputUnit(file, tuple(groups), rows))
+                groups, rows = [], 0
+            groups.append(g)
+            rows += n
+        if rows:
+            units.append(InputUnit(file, tuple(groups), rows))
+    return units
 
 
 def _cache_put(cache: dict, key: str, value):
@@ -107,29 +161,49 @@ def _derive_fn(config: RollupConfig, hot):
     return fn
 
 
-def _worker_fn(config: RollupConfig, hot, sink):
-    key = _worker_key(config, hot)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        worker = _cached_worker(key, config, hot)
-        out = worker(unpack_packed(batch))
-        if sink is None:
-            return out
-        part = int(batch["part"][0].as_py()) if batch.num_rows else -1
-        return sink(out, part, worker.last_stats)
-
-    return fn
+@ray.remote
+def _map_unit(unit: InputUnit, config: RollupConfig, hot, skip: list) -> list:
+    """One input unit → its derived, packed rows split by ``part``."""
+    table = unit.read(INPUT_COLUMNS)
+    packed = pack_derived(DeriveAssign(config, hot_list=_resolve_hot(hot))(table))
+    return split_by_part(packed, config.num_partitions, skip)
 
 
-def drop_parts(ds, parts: Iterable[int]):
-    """Drop rows whose ``part`` is in ``parts`` (a resume filter: applied
-    before the exchange, so finished partitions cost no shuffle)."""
-    done = pa.array(sorted(parts), type=pa.int32())
+def _rollup_pieces(config: RollupConfig, hot, sink, part: int, *pieces: pa.Table):
+    """The reduce task's body: one partition's packed pieces → tier rows,
+    or whatever ``sink`` returns for them."""
+    worker = _cached_worker(_worker_key(config, hot), config, hot)
+    out = worker(unpack_packed(pa.concat_tables(pieces)))
+    return out if sink is None else sink(out, part, worker.last_stats)
 
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(pc.is_in(batch["part"], value_set=done)))
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+_rollup_part = ray.remote(_rollup_pieces)
+
+
+def _reduce(routed: dict[int, list], config: RollupConfig, hot, sink) -> list:
+    return [
+        _rollup_part.remote(config, hot, sink, part, *pieces)
+        for part, pieces in routed.items()
+    ]
+
+
+def rollup_units(
+    units: Sequence[InputUnit],
+    config: RollupConfig,
+    *,
+    hot_list=(),
+    skip_parts: Iterable[int] = (),
+    sink: Callable[[pa.Table, int, dict], pa.Table] | None = None,
+) -> list:
+    """The rollup over input units on plain Ray tasks, for a config with
+    ``num_partitions`` set: one map task per unit, one reduce task per
+    partition that receives rows and is not in ``skip_parts``. Returns the
+    refs of the reduce outputs (see :func:`rollup_dataset` for ``sink``)."""
+    hot = _broadcast_hot(hot_list)
+    skip = sorted(skip_parts)
+    map_unit = _map_unit.options(num_returns=config.num_partitions + 1)
+    routed = route([map_unit.remote(unit, config, hot, skip) for unit in units])
+    return _reduce(routed, config, hot, sink)
 
 
 def rollup_dataset(
@@ -140,23 +214,25 @@ def rollup_dataset(
     skip_parts: Iterable[int] = (),
     sink: Callable[[pa.Table, int, dict], pa.Table] | None = None,
 ):
-    """Build the streaming rollup pipeline (lazy Dataset of tier rows).
+    """Run the rollup over ``ds`` and return a Dataset of tier rows. The
+    pipeline executes when this is called; it is not lazy.
 
-    One hash exchange total: ``groupby("part")``, fed by the
-    :func:`pack_derived` combiner, which moves one list-packed row per
-    (block, part, conv-run) instead of one row per turn (the sort
-    barrier's cost follows row count; BASELINE.md round 4). The worker
-    unpacks, then sorts and dedups, so output is bit-identical to the
-    in-process :func:`rollup_table` (tests/test_parallelism_invariance.py).
+    Ray Data runs the read, derive and :func:`pack_derived` map, so only
+    packed rows (one list-packed row per (block, part, conv run)) enter
+    the object store. Each packed block then goes to a split task of the
+    one routed exchange (stages/exchange.py), and one reduce task per
+    partition unpacks its pieces and runs the worker, which sorts and
+    dedups: output is bit-identical to the in-process :func:`rollup_table`
+    (tests/test_parallelism_invariance.py).
 
     The hot set is ``hot_list`` when given, else detected on ``ds`` when
     ``config.hot_threshold`` is set.
 
-    ``skip_parts`` drops those partitions before the exchange. ``sink``,
-    a picklable ``(tier_rows, part, stage_record) -> pa.Table``, runs in
+    ``skip_parts`` drops those partitions in the split. ``sink``, a
+    picklable ``(tier_rows, part, stage_record) -> pa.Table``, runs in
     each reduce task after the worker; the Dataset then holds what it
-    returns instead of tier rows (``run_rollup_job`` writes the partition
-    and returns its one-row manifest summary).
+    returns instead of tier rows (``state.checkpoint.PartitionWriter``
+    writes the partition and returns its one-row summary).
     """
     config = config or RollupConfig()
     # auto partition count resolves BEFORE any worker state keys on
@@ -168,7 +244,7 @@ def rollup_dataset(
     if hot_list is None and config.hot_threshold is not None:
         hot_list = detect_hot_convs(ds, config.hot_threshold)
     hot = _broadcast_hot(hot_list)
-    derived = ds.map_batches(
+    packed = ds.map_batches(
         _derive_fn(config, hot),
         batch_format="pyarrow",
         batch_size=None,  # whole blocks; the default 1024-row batches add
@@ -179,12 +255,8 @@ def rollup_dataset(
         batch_size=None,
         zero_copy_batch=True,
     )
-    skip_parts = list(skip_parts)
-    if skip_parts:
-        derived = drop_parts(derived, skip_parts)
-    return derived.groupby("part").map_groups(
-        _worker_fn(config, hot, sink), batch_format="pyarrow"
-    )
+    routed = exchange(packed, config.num_partitions, skip_parts)
+    return rd.from_arrow_refs(_reduce(routed, config, hot, sink))
 
 
 def rollup_table(

@@ -73,6 +73,7 @@ from .rollup import (
     _cached_worker,
     _resolve_hot,
     _worker_key,
+    parquet_files,
 )
 
 _DELTA_OFFSET = np.int64(2) ** 31
@@ -271,14 +272,6 @@ def _fold_part(
     return part, written["rows"]
 
 
-def _delta_files(delta_path: str) -> list[str]:
-    """The parquet files of a delta: the file itself, or every data file
-    under a directory (names starting with ``.`` or ``_`` are skipped)."""
-    import pyarrow.dataset as pads
-
-    return sorted(pads.dataset(delta_path, format="parquet").files)
-
-
 def update_rollup_job(
     out_dir: str,
     delta_path: str,
@@ -321,7 +314,7 @@ def update_rollup_job(
     hot = _broadcast_hot(prior.get("hot") or [])
     derived = [
         _derive.remote(path, config, hot, max_update_convs)
-        for path in _delta_files(delta_path)
+        for path in parquet_files(delta_path)
     ]
     routed: dict[int, list] = {}
     convs: set = set()

@@ -1,18 +1,22 @@
-"""The rollup engine: derive → one hash shuffle → per-partition tier cascade.
+"""The rollup engine: derive → one routed exchange → per-partition tier cascade.
 
 Pipeline shape (SURVEY.md §3, §7):
 
-1. ``derive``: stateless ``map_batches`` over zero-copy Arrow — project each
-   turn to (conv_id, turn_idx, ts_us, m=len(text), w=1.0) and assign a
-   partition id ``part = hash64(conv_id) % P``. Hot conversations (detected
-   by a cheap pre-aggregated count pass and broadcast via ``ray.put``) are
+1. ``derive``: stateless, over zero-copy Arrow — project each turn to
+   (conv_id, turn_idx, ts_us, m=len(text), w=1.0) and assign a partition
+   id ``part = hash64(conv_id) % P``. Hot conversations (detected by a
+   cheap pre-aggregated count pass and broadcast via ``ray.put``) are
    salted: their part key also mixes ``day // salt_window_days``, spreading
    a huge conversation across partitions by time range. Tier buckets are at
    most 1 day and salt ranges are whole days, so no bucket ever spans two
    salt ranges; gap-fill for hot convs is bounded to the salt window
-   (documented skew/correctness trade-off).
-2. ``groupby("part").map_groups``: THE single all-to-all exchange. Each
-   partition is processed wholly inside one task by :class:`RollupWorker`:
+   (documented skew/correctness trade-off). ``pack_derived`` then folds
+   each block to one list-packed row per (part, conv run).
+2. The routed exchange (stages/exchange.py): THE single all-to-all step.
+   Each map-side task splits its packed block by ``part`` into P pieces
+   (no sort, no merge: a partition's tier rows depend only on the rows
+   routed to it), and one reduce task per partition concatenates its
+   pieces and runs :class:`RollupWorker` over the whole partition:
    lexsort by (conv, turn_idx), first-wins dedup of (conv_id, turn_idx),
    then the tier cascade, one step per ``TIERS`` entry:
 
@@ -48,6 +52,7 @@ import ray
 from ..codec import gorilla
 from ..features.extractor import FeatureExtractor
 from ..features.grouped import GroupedSuite
+from .exchange import route, split_by_part
 
 US_PER_MIN = 60_000_000
 MIN_PER_DAY = 1440  # salt windows are whole days
@@ -173,10 +178,12 @@ class RollupConfig:
 
 
 def _cluster_cpus() -> int:
-    try:
-        return int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        return 8
+    """CPUs of the Ray cluster. Starts Ray first, as its first task would,
+    when no session exists: a guessed count would size a store's
+    partitions for a cluster that is not there."""
+    if not ray.is_initialized():
+        ray.init()
+    return int(ray.cluster_resources()["CPU"])
 
 
 def auto_num_partitions(
@@ -201,24 +208,10 @@ def auto_num_partitions(
     return max(parts, 1)
 
 
-#: rows-per-block ceiling of :func:`auto_num_blocks`. Unmeasured: no
-#: benchmark workload reaches it (120 000 turns give 4 blocks per CPU).
+#: most rows of one input unit: the rows one map task of ``run_rollup_job``
+#: reads (``pipelines.rollup.input_units``). Unmeasured: no benchmark
+#: workload reaches it (their files hold 15 000 turns each).
 ROWS_PER_BLOCK = 250_000
-
-
-def auto_num_blocks(n_rows: int, num_cpus: int | None = None) -> int:
-    """Read block count of a rollup input: ``max(4 x CPUs, ceil(rows /
-    ROWS_PER_BLOCK))``.
-
-    Every block is one map task and one sorted run entering the exchange,
-    so Ray's default (one or more blocks per file) makes the hot pre-pass
-    and the exchange pay per-block scheduling and merge costs that do not
-    shrink with the data; 4 blocks per CPU gives 4 map waves that smooth
-    the straggler tail (BASELINE.md round 3), and the row ceiling keeps
-    each block bounded at any input size."""
-    if num_cpus is None:
-        num_cpus = _cluster_cpus()
-    return max(4 * num_cpus, -(-int(n_rows) // ROWS_PER_BLOCK), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +305,11 @@ class DeriveAssign:
 def pack_derived(batch: pa.Table) -> pa.Table:
     """Exchange combiner: collapse this block's derived rows to ONE row
     per (part, conv) with the (turn_idx, ts_us, m) triples packed as
-    Arrow list columns. The sort-based exchange's scale-independent cost
-    (block sorts, boundary sampling, reduce-side merges) grows with ROW
-    COUNT, not bytes — packing moves rows/(convs-per-block) times fewer
-    rows through the barrier while the list values ride as one
-    contiguous buffer per column (no per-run Python: one composite
-    argsort + ListArray.from_arrays wraps). The reduce side unpacks with
+    Arrow list columns. The exchange's split (an argsort and one take
+    per partition) works per ROW — packing gives it rows/(turns-per-run)
+    times fewer rows, while the list values ride as one contiguous
+    buffer per column (no per-run Python: one composite argsort +
+    ListArray.from_arrays wraps). The reduce side unpacks with
     :func:`unpack_packed` before the unchanged worker — dedup and all
     ordering happen in the worker exactly as with the row exchange, so
     output (including retry/duplicate resolution) is bit-identical.
@@ -423,6 +415,14 @@ def _partial_counts(batch: pa.Table) -> pa.Table:
     )
 
 
+@ray.remote(num_returns=2)
+def _count_unit(unit) -> tuple[pa.Table, int]:
+    """An input unit's (conv_id, cnt) partial rows and their number; it
+    reads the ``conv_id`` column only."""
+    partials = _partial_counts(unit.read(["conv_id"]))
+    return partials, partials.num_rows
+
+
 @ray.remote
 def _select_partials(block: pa.Table, floor: int | None, convs) -> pa.Table:
     """``floor`` set: the block's convs whose summed partial count is at
@@ -433,39 +433,62 @@ def _select_partials(block: pa.Table, floor: int | None, convs) -> pa.Table:
     return block.filter(pc.is_in(block["conv_id"], value_set=convs))
 
 
+@ray.remote
+def _route_partials(block: pa.Table, num_parts: int) -> list:
+    """Split partial rows by ``hash(conv_id) % num_parts``."""
+    part = hash_strings(block["conv_id"].cast(pa.string())) % np.uint64(num_parts)
+    return split_by_part(
+        block.append_column("part", pa.array(part.astype(np.int32))), num_parts
+    )
+
+
+@ray.remote
+def _hot_of_part(threshold: int, *pieces: pa.Table) -> list:
+    total = pa.concat_tables(pieces).group_by("conv_id").aggregate([("cnt", "sum")])
+    return total.filter(pc.greater_equal(total["cnt_sum"], threshold))["conv_id"].to_pylist()
+
+
 #: most (block, conv) partial rows :func:`detect_hot_convs` sums on the
-#: driver; above it the partials are summed by an aggregate exchange
+#: driver; above it the partials are summed by a routed exchange
 HOT_DRIVER_ROWS = 1_000_000
 
 
-def detect_hot_convs(ds, threshold: int):
+def detect_hot_convs(source, threshold: int):
     """Pre-pass: the exact set of conversations with at least
-    ``threshold`` rows.
+    ``threshold`` rows. ``source`` is a Dataset, or a list of input units
+    (``pipelines.rollup.input_units``: ``run_rollup_job`` counts with one
+    plain task per unit, no Dataset).
 
-    Each input block yields one (conv_id, cnt) partial row per conv it
-    holds (``batch_size=None`` is essential — 1024-row batches would emit
-    millions of partial rows). Up to ``HOT_DRIVER_ROWS`` partial rows, no
-    exchange runs (an aggregate exchange over the partials costs several
-    times the count pass itself): a conv with ``threshold`` rows spread
-    over B blocks has at least ``threshold / B`` of them in one block, so
-    only convs reaching that in some block are candidates, and only their
-    partials reach the driver to be summed. Above it — many blocks make
-    that floor low and nearly every conv a candidate — the partials are
-    summed by ``groupby("conv_id")``.
+    Each input block (or unit) yields one (conv_id, cnt) partial row per
+    conv it holds (whole blocks — 1024-row batches would emit millions of
+    partial rows). Up to ``HOT_DRIVER_ROWS`` partial rows, no exchange
+    runs (an exchange over the partials costs several times the count pass
+    itself): a conv with ``threshold`` rows spread over B blocks has at
+    least ``threshold / B`` of them in one block, so only convs reaching
+    that in some block are candidates, and only their partials reach the
+    driver to be summed. Above it — many blocks make that floor low and
+    nearly every conv a candidate — the partials are routed by conv_id
+    hash (stages/exchange.py) and summed in ``HOT_DRIVER_ROWS``-row reduce
+    tasks.
     """
-    partials = (
-        ds.select_columns(["conv_id"])
-        .map_batches(_partial_counts, batch_format="pyarrow", batch_size=None)
-        .materialize()
-    )
-    if partials.count() > HOT_DRIVER_ROWS:
-        total = partials.groupby("conv_id").sum("cnt").map_batches(
-            lambda b: b.filter(pc.greater_equal(b["sum(cnt)"], threshold)),
-            batch_format="pyarrow",
-            batch_size=None,
+    if isinstance(source, list):
+        counted = [_count_unit.remote(unit) for unit in source]
+        refs = [partials for partials, _ in counted]
+        n_partials = sum(ray.get([n for _, n in counted]))
+    else:
+        partials = (
+            source.select_columns(["conv_id"])
+            .map_batches(_partial_counts, batch_format="pyarrow", batch_size=None)
+            .materialize()
         )
-        return [r["conv_id"] for r in total.take_all()]
-    refs = partials.to_arrow_refs()
+        refs = partials.to_arrow_refs()
+        n_partials = partials.count()
+    if n_partials > HOT_DRIVER_ROWS:
+        num_parts = min(len(refs), -(-n_partials // max(HOT_DRIVER_ROWS, 1)))
+        split = _route_partials.options(num_returns=num_parts + 1)
+        routed = route([split.remote(r, num_parts) for r in refs])
+        found = ray.get([_hot_of_part.remote(threshold, *p) for p in routed.values()])
+        return [conv for convs in found for conv in convs]
     floor = max(-(-int(threshold) // max(len(refs), 1)), 1)
     found = ray.get([_select_partials.remote(r, floor, None) for r in refs])
     found = [t for t in found if t.num_rows]

@@ -10,12 +10,15 @@ engine-side design):
                                     # repeats the manifest's lineage
         _manifest.json              # completion marker + stage record
 
-``run_rollup_job`` is ``rollup_dataset`` (pipelines/rollup.py) over a
-read sized by ``auto_num_blocks``, with :class:`PartitionWriter` as its
-per-partition sink; the job itself only keeps the books: lineage in
-``_job.json``, the resume filter, and the hot set (detected once on a
-conv_id-only read, recorded, and replayed on resume and by
-``update_rollup_job``).
+``run_rollup_job`` runs the rollup on plain Ray tasks, with no Dataset:
+parquet metadata splits the input into units (row-group ranges, see
+``pipelines.rollup.input_units``); one count task per unit feeds the hot
+pre-pass, one map task per unit reads, derives, packs and splits its rows
+by partition, and one reduce task per partition runs the worker with
+:class:`PartitionWriter` as its sink (the routed exchange,
+stages/exchange.py). The job itself only keeps the books: lineage in
+``_job.json``, the resume filter, and the hot set (detected once,
+recorded, and replayed on resume and by ``update_rollup_job``).
 
 Every writer — the job, :func:`write_dataset_partitioned` and
 ``update_rollup_job`` — goes through :func:`_write_partition`: the data
@@ -27,9 +30,10 @@ metadata in the manner of Flink's state backends); :func:`job_report`
 sums them. The data file's parquet schema metadata carries the same
 record less its timings, so an update can tell which deltas a file
 holds even when a crash left an older manifest beside it. On resume,
-completed partitions are dropped before the exchange, so a rerun only
-pays for the missing ones. Every stage is deterministic (fixed hashes,
-no RNG), so retries and resumes produce identical bytes.
+completed partitions are dropped in the exchange's split and get no
+reduce task, so a rerun only pays for the missing ones. Every stage is
+deterministic (fixed hashes, no RNG), so retries and resumes produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -43,8 +47,10 @@ from typing import Any
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
-from ..stages.rollup import RollupConfig, auto_num_blocks, detect_hot_convs
+from ..stages.exchange import exchange
+from ..stages.rollup import RollupConfig, detect_hot_convs
 
 
 def _manifest_path(out_dir: str, part: int) -> str:
@@ -151,28 +157,25 @@ def _restore_manifest(out_dir: str, part: int, stale: dict | None) -> dict[str, 
     return _commit_manifest(out_dir, body)
 
 
-def _summary_row(part: int | None, rows: int = 0) -> pa.Table:
-    """One-row (or, for ``part=None``, empty) per-partition summary."""
-    parts, counts = ([], []) if part is None else ([part], [rows])
+def _summary_row(part: int, rows: int) -> pa.Table:
+    """One-row per-partition summary."""
     return pa.table(
         {
-            "partition": pa.array(parts, type=pa.int32()),
-            "rows": pa.array(counts, type=pa.int64()),
+            "partition": pa.array([part], type=pa.int32()),
+            "rows": pa.array([rows], type=pa.int64()),
         }
     )
 
 
 class PartitionWriter:
-    """``rollup_dataset`` sink: write one partition with its stage record
-    and emit its one-row summary (the job's Dataset output)."""
+    """Rollup sink: write one partition with its stage record and emit
+    its one-row summary."""
 
     def __init__(self, out_dir: str, lineage: dict[str, Any]):
         self.out_dir = out_dir
         self.lineage = lineage
 
     def __call__(self, table: pa.Table, part: int, stage: dict) -> pa.Table:
-        if part < 0:  # an empty reduce group: nothing to write
-            return _summary_row(None)
         manifest = _write_partition(table, self.out_dir, part, self.lineage, stage)
         return _summary_row(part, manifest["rows"])
 
@@ -192,17 +195,18 @@ def run_rollup_job(
 ) -> dict[str, Any]:
     """Run (or resume) the rollup over transcript parquet at ``input_path``,
     writing per-partition tier parquet + manifests under ``out_dir``.
-    Returns a job summary dict. This is the ``ray job submit`` entrypoint
-    body (see scripts/rollup_job.py)."""
+    Returns a job summary dict, with the task shape: ``map_tasks`` (one
+    per input unit) and ``reduce_tasks`` (one per partition written).
+    This is the ``ray job submit`` entrypoint body (see
+    scripts/rollup_job.py)."""
     from dataclasses import replace
 
-    import ray.data as rd
-
-    from ..pipelines.rollup import read_transcripts, rollup_dataset
+    from ..pipelines.rollup import input_units, rollup_units
 
     config = config or RollupConfig()
-    # parquet metadata: no data is read to count
-    n_rows = read_transcripts(input_path).count()
+    # parquet metadata: no data is read to split or count
+    units = input_units(input_path)
+    n_rows = sum(unit.rows for unit in units)
     os.makedirs(out_dir, exist_ok=True)
     done = completed_partitions(out_dir)
     prior = _load_job(out_dir)
@@ -226,7 +230,6 @@ def run_rollup_job(
             "than this run; use a fresh out_dir (rebuild the store) or pass "
             "the original config"
         )
-    num_blocks = auto_num_blocks(n_rows)
     if same_lineage:
         # the recorded hot set is part of the partition-assignment
         # identity: replaying it keeps a resumed partition's rows exact
@@ -234,10 +237,7 @@ def run_rollup_job(
     else:
         hot = []
         if config.hot_threshold is not None:
-            ids = rd.read_parquet(
-                input_path, columns=["conv_id"], override_num_blocks=num_blocks
-            )
-            hot = sorted(detect_hot_convs(ids, config.hot_threshold))
+            hot = sorted(detect_hot_convs(units, config.hot_threshold))
         # the incremental update job (pipelines/update.py) replays it too
         job = {"input": input_path, "config": config.to_dict(), "hot": hot}
         tmp = os.path.join(out_dir, "_job.json.tmp")
@@ -245,19 +245,22 @@ def run_rollup_job(
             json.dump(job, f)
         os.replace(tmp, os.path.join(out_dir, "_job.json"))
     lineage = {"input": input_path, "config": config.to_dict(), "hot": hot}
-    new_parts = rollup_dataset(
-        read_transcripts(input_path, num_blocks=num_blocks),
-        config,
-        hot_list=hot,
-        skip_parts=done,
-        sink=PartitionWriter(out_dir, lineage),
-    ).to_pandas()
-    # a finished job leaves nothing to exchange: an empty, column-less frame
-    written = new_parts["partition"].tolist() if len(new_parts) else []
+    summaries = ray.get(
+        rollup_units(
+            units,
+            config,
+            hot_list=hot,
+            skip_parts=done,
+            sink=PartitionWriter(out_dir, lineage),
+        )
+    )
+    written = [t["partition"][0].as_py() for t in summaries]
     return {
         "partitions_completed_previously": sorted(done),
         "partitions_written": sorted(written),
-        "rows_written": int(new_parts["rows"].sum()) if written else 0,
+        "rows_written": sum(t["rows"][0].as_py() for t in summaries),
+        "map_tasks": len(units),
+        "reduce_tasks": len(summaries),
     }
 
 
@@ -318,6 +321,16 @@ def read_rollup_output(out_dir: str):
     )
 
 
+@ray.remote
+def _write_routed(out_dir: str, part: int, lineage: dict, *pieces: pa.Table) -> int:
+    """Reduce task of :func:`write_dataset_partitioned`: one partition's
+    pieces → its data file and manifest; returns the rows written."""
+    # blocks of one Dataset may differ in schema (a null-typed column in
+    # a block of nulls), as Ray Data's own concatenation allows
+    table = pa.concat_tables(pieces, promote_options="permissive")
+    return _write_partition(table.drop_columns(["part"]), out_dir, part, lineage)["rows"]
+
+
 def write_dataset_partitioned(
     ds,
     out_dir: str,
@@ -332,7 +345,7 @@ def write_dataset_partitioned(
     LAST, so a partition is complete iff its manifest exists) applied
     to arbitrary pipelines: dedup decision tables, curation outputs,
     resampled series. On rerun over the same ``out_dir``, completed
-    partitions are dropped before the exchange — their bytes are never
+    partitions are dropped in the exchange's split — their bytes are never
     rewritten — and only the missing ones recompute, which is what makes
     a 100-TB write restartable after a mid-job failure. Partition assignment hashes
     ``key_col`` with the engine's fixed deterministic hash, so the
@@ -343,13 +356,13 @@ def write_dataset_partitioned(
     Returns a summary dict: partitions written, partitions skipped (the
     ones already complete), rows written.
 
-    Scale shape: ONE key-hash exchange; each reduce task writes its own
-    partition directory and emits a one-row manifest summary — no
-    driver bottleneck, no single giant file.
+    Scale shape: the rollup's one routed exchange (stages/exchange.py):
+    a split task per block of ``ds``, and a reduce task per partition
+    that writes its own partition directory — no driver bottleneck, no
+    single giant file. The Dataset executes when this is called.
     """
     import numpy as np
 
-    from ..pipelines.rollup import drop_parts
     from ..stages.rollup import hash_strings
 
     done = completed_partitions(out_dir)
@@ -369,26 +382,17 @@ def write_dataset_partitioned(
             "part", pa.array(part, type=pa.int32())
         )
 
-    def write_part(grp: pa.Table) -> pa.Table:
-        if grp.num_rows == 0:
-            return _summary_row(None)
-        part = int(grp["part"][0].as_py())
-        manifest = _write_partition(
-            grp.drop_columns(["part"]), out_dir, part, base_lineage
-        )
-        return _summary_row(part, manifest["rows"])
-
     assigned = ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
-    if done:
-        assigned = drop_parts(assigned, done)
-    results = (
-        assigned.groupby("part")
-        .map_groups(write_part, batch_format="pyarrow")
-        .to_pandas()
+    routed = exchange(assigned, num_partitions, done)
+    rows = ray.get(
+        [
+            _write_routed.remote(out_dir, part, base_lineage, *pieces)
+            for part, pieces in routed.items()
+        ]
     )
     return {
         "out_dir": out_dir,
-        "partitions_written": len(results),
+        "partitions_written": len(rows),
         "partitions_skipped": len(done),
-        "rows_written": int(results["rows"].sum()) if len(results) else 0,
+        "rows_written": sum(rows),
     }

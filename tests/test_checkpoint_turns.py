@@ -43,6 +43,10 @@ def test_job_writes_manifests_and_resumes(ray_session, synth_dir, tmp_path):
     parts = completed_partitions(out)
     assert parts == set(summary["partitions_written"])
     assert summary["rows_written"] > 0
+    # one map task per input file (one row group each), one reduce task
+    # per partition written
+    assert summary["map_tasks"] == 3
+    assert summary["reduce_tasks"] == len(parts)
     # manifests carry lineage + metrics
     p = sorted(parts)[0]
     with open(os.path.join(out, f"part={p}", "_manifest.json")) as f:
@@ -59,11 +63,13 @@ def test_job_writes_manifests_and_resumes(ray_session, synth_dir, tmp_path):
     summary2 = run_rollup_job(synth_dir, out, cfg)
     assert summary2["partitions_written"] == [victim]
     assert set(summary2["partitions_completed_previously"]) == parts - {victim}
+    assert (summary2["map_tasks"], summary2["reduce_tasks"]) == (3, 1)
     assert read_rollup_output(out).count() == total_rows
 
     # fully-complete job: nothing to do
     summary3 = run_rollup_job(synth_dir, out, cfg)
     assert summary3["partitions_written"] == []
+    assert summary3["reduce_tasks"] == 0
 
 
 def _interleaved_redelivered(tmp_path, shards=4):
@@ -148,6 +154,7 @@ def test_job_resume_rewrites_only_missing_partition(ray_session, tmp_path):
     out = str(tmp_path / "out")
     first = run_rollup_job(path, out, cfg)
     assert first["partitions_written"] == [0, 1, 2, 3, 4]
+    assert (first["map_tasks"], first["reduce_tasks"]) == (4, 5)
 
     def data(p):
         return Path(out) / f"part={p}" / "data.parquet"
@@ -159,11 +166,96 @@ def test_job_resume_rewrites_only_missing_partition(ray_session, tmp_path):
     os.remove(os.path.join(out, f"part={victim}", "_manifest.json"))
     again = run_rollup_job(path, out, cfg)
     assert again["partitions_written"] == [victim]
+    assert (again["map_tasks"], again["reduce_tasks"]) == (4, 1)
     assert again["partitions_completed_previously"] == [0, 1, 2, 4]
     assert data(victim).read_bytes() == before[victim]
     for p in (0, 1, 2, 4):
         assert data(p).stat().st_mtime == mtimes[p], p
     assert (Path(out) / "_job.json").read_text() == job
+
+
+def _canonical(table: pa.Table) -> pd.DataFrame:
+    keys = ["conv_id", "tier", "bucket_ts"]
+    return table.to_pandas().sort_values(keys).reset_index(drop=True)
+
+
+def _store(out: str, parts) -> pd.DataFrame:
+    """The canonical rows of a job's partition files, read without Ray."""
+    import pyarrow.parquet as pq
+
+    return _canonical(
+        pa.concat_tables(
+            [pq.read_table(os.path.join(out, f"part={p}", "data.parquet")) for p in parts]
+        )
+    )
+
+
+def test_job_units_from_row_groups_and_files(ray_session, tmp_path, monkeypatch):
+    """Input units are row-group ranges of one file, at most
+    ROWS_PER_BLOCK rows; the job over one file with several row groups
+    and over a directory of files writes the in-process reference's
+    rows, with one map task per unit."""
+    import pyarrow.parquet as pq
+
+    from light_curve_feature_ray.pipelines import rollup as rp
+    from light_curve_feature_ray.state.checkpoint import run_rollup_job
+
+    path, table, _ = _interleaved_redelivered(tmp_path)
+    one = str(tmp_path / "one.parquet")
+    pq.write_table(table, one, row_group_size=100)
+    n_groups = -(-table.num_rows // 100)
+    assert n_groups > 4
+    monkeypatch.setattr(rp, "ROWS_PER_BLOCK", 250)
+    units = rp.input_units(one)
+    assert len(units) == -(-n_groups // 2)
+    assert [u.row_groups for u in units[:2]] == [(0, 1), (2, 3)]
+    assert sum(u.rows for u in units) == table.num_rows
+    assert all(u.rows <= 250 for u in units)
+    # a row group above the ceiling is a unit of its own
+    monkeypatch.setattr(rp, "ROWS_PER_BLOCK", 50)
+    assert len(rp.input_units(one)) == n_groups
+    monkeypatch.setattr(rp, "ROWS_PER_BLOCK", 250)
+
+    cfg = RollupConfig(
+        features=("observation_count", "mean"), num_partitions=3, hot_threshold=400
+    )
+    want = None
+    for src, n_units in ((one, len(units)), (path, 4)):
+        out = str(tmp_path / f"out-{n_units}")
+        summary = run_rollup_job(src, out, cfg)
+        assert summary["map_tasks"] == n_units
+        assert summary["reduce_tasks"] == len(summary["partitions_written"])
+        with open(os.path.join(out, "_job.json")) as f:
+            hot = json.load(f)["hot"]
+        if want is None:
+            want = _canonical(rp.rollup_table(table, cfg, hot_list=hot))
+        got = _store(out, summary["partitions_written"])
+        pd.testing.assert_frame_equal(got[want.columns], want)
+
+
+def test_job_runs_without_ray_data(ray_session, tmp_path, monkeypatch):
+    """run_rollup_job reads, counts and exchanges with plain Ray tasks:
+    it passes with the Ray Data parquet reader disabled."""
+    import ray.data
+
+    from light_curve_feature_ray.pipelines.rollup import rollup_table
+    from light_curve_feature_ray.state.checkpoint import run_rollup_job
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("run_rollup_job built a Dataset")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_dataset)
+    path, table, _ = _interleaved_redelivered(tmp_path)
+    cfg = RollupConfig(features=("observation_count",), hot_threshold=400)
+    out = str(tmp_path / "out")
+    summary = run_rollup_job(path, out, cfg)
+    assert summary["partitions_written"]
+    with open(os.path.join(out, "_job.json")) as f:
+        hot = json.load(f)["hot"]
+    assert hot
+    got = _store(out, summary["partitions_written"])
+    want = _canonical(rollup_table(table, cfg, hot_list=hot))
+    pd.testing.assert_frame_equal(got[want.columns], want)
 
 
 def test_turns_passthrough_invariants(ray_session, synth_dir):

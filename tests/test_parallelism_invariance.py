@@ -155,6 +155,41 @@ def test_packed_exchange_salted_and_dups(ray_session, salted_dir):
         pd.testing.assert_frame_equal(_sorted(got, keys), want2)
 
 
+@pytest.mark.parametrize("parts, skip", [(1, ()), (1, (0,)), (2, (1,)), (7, (0, 3, 6))])
+def test_routed_exchange_skip_parts(ray_session, synth_dir, parts, skip):
+    """At any partition count, including 1 (one piece per block) and
+    with ``skip_parts``, rollup_dataset yields the in-process reference's
+    rows — points bytes included — less exactly the skipped partitions'."""
+    import pyarrow.parquet as pq
+
+    from light_curve_feature_ray.pipelines.rollup import (
+        read_transcripts,
+        rollup_dataset,
+        rollup_table,
+    )
+    from light_curve_feature_ray.stages.rollup import DeriveAssign
+
+    cfg = RollupConfig(
+        features=("observation_count", "mean", "eta"),
+        num_partitions=parts,
+        hot_threshold=None,
+        store_points=True,
+    )
+    table = pq.read_table(synth_dir)
+    derived = DeriveAssign(cfg)(table)
+    skipped = derived.filter(pc.is_in(derived["part"], pa.array(skip, pa.int32())))
+    convs = pc.unique(skipped["conv_id"].cast(pa.string()))
+    ref = rollup_table(table, cfg)
+    want = _sorted(ref.filter(pc.invert(pc.is_in(ref["conv_id"], convs))).to_pandas())
+    got = rollup_dataset(
+        read_transcripts(synth_dir, num_blocks=4), cfg, skip_parts=skip
+    ).to_pandas()
+    if want.empty:
+        assert got.empty
+    else:
+        pd.testing.assert_frame_equal(_sorted(got)[want.columns], want)
+
+
 # --- salted path: hot convs spread across partitions by salt window ------
 
 SALT_CFG = dict(n_convs=12, mean_turns=30, hot_convs=2, hot_turns=3000, seed=99)

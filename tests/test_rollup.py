@@ -482,6 +482,8 @@ def test_worker_cache_keys_on_hot_set_content(ray_session):
     object ref; the per-process worker and hot-set caches key on the
     set's content, so repeated calls leave one entry each, and distinct
     sets never grow a cache past its bound."""
+    import functools
+
     import ray
 
     from light_curve_feature_ray.pipelines import rollup as rp
@@ -508,7 +510,7 @@ def test_worker_cache_keys_on_hot_set_content(ray_session):
     worker = Worker.remote()
     outs = []
     for order in (hot, hot[::-1], hot):
-        fn = rp._worker_fn(cfg, rp._broadcast_hot(order), None)
+        fn = functools.partial(rp._rollup_pieces, cfg, rp._broadcast_hot(order), None, 0)
         out, n_workers, n_hot = ray.get(worker.run.remote(fn, packed))
         assert (n_workers, n_hot) == (1, 1)
         outs.append(out)
@@ -518,7 +520,7 @@ def test_worker_cache_keys_on_hot_set_content(ray_session):
     rp._WORKER_CACHE.clear()
     rp._HOT_CACHE.clear()
     for i in range(rp._CACHE_MAX + 3):
-        rp._worker_fn(cfg, rp._broadcast_hot([f"other-{i}"]), None)(packed)
+        rp._rollup_pieces(cfg, rp._broadcast_hot([f"other-{i}"]), None, 0, packed)
     assert len(rp._WORKER_CACHE) == rp._CACHE_MAX
     assert len(rp._HOT_CACHE) == rp._CACHE_MAX
     rp._WORKER_CACHE.clear()
@@ -583,17 +585,28 @@ def test_detect_hot_convs_many_blocks(ray_session, monkeypatch):
         monkeypatch.undo()
 
 
-def test_auto_num_blocks_rule():
-    from light_curve_feature_ray.stages.rollup import ROWS_PER_BLOCK, auto_num_blocks
+def test_auto_num_partitions_never_guesses_cpus(monkeypatch):
+    """Without a CPU count the rule asks the Ray cluster, starting Ray
+    first when no session exists; it never assumes a cluster size (a
+    guess of 8 CPUs made 16 partitions of 121 200 rows on one CPU)."""
+    import ray
 
-    # 4 blocks per CPU for inputs up to 4 x CPUs x ROWS_PER_BLOCK rows
-    assert auto_num_blocks(120_000, num_cpus=1) == 4
-    assert auto_num_blocks(9_534_677, num_cpus=32) == 128
-    assert auto_num_blocks(0, num_cpus=4) == 16
-    # beyond that the rows-per-block ceiling sets the count: blocks stay
-    # bounded at any input size
-    assert auto_num_blocks(9_534_677, num_cpus=4) == -(-9_534_677 // ROWS_PER_BLOCK)
-    assert auto_num_blocks(10**9, num_cpus=8) == 10**9 // ROWS_PER_BLOCK
+    from light_curve_feature_ray.stages.rollup import auto_num_partitions
+
+    def unreachable():
+        raise RuntimeError("no cluster")
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources", unreachable)
+    with pytest.raises(RuntimeError, match="no cluster"):
+        auto_num_partitions(121_200)
+
+    started = []
+    monkeypatch.setattr(ray, "is_initialized", lambda: bool(started))
+    monkeypatch.setattr(ray, "init", lambda *a, **k: started.append(True))
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    assert auto_num_partitions(121_200) == 2
+    assert started == [True]
 
 
 def test_auto_partitions_resolution(ray_session):
