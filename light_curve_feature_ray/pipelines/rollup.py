@@ -1,20 +1,20 @@
 """End-to-end rollup pipelines.
 
-Both production entry points run derive (``DeriveAssign``) → pack
-(``pack_derived``) → ONE routed exchange (stages/exchange.py) →
-:class:`RollupWorker` per partition, and both end in the same reduce
-task (:func:`_rollup_part`), which runs the cached worker and then an
-optional ``sink`` that hands the partition's tier rows to a writer:
+Both production entry points run one derive + pack body
+(:func:`_derive_pack`: ``DeriveAssign`` then ``pack_derived``) → ONE
+routed exchange (stages/exchange.py) → :class:`RollupWorker` per
+partition, and both end in the same reduce task (:func:`_rollup_part`):
 
-- ``rollup_dataset(ds)`` keeps its Ray Data read → derive → pack map, so
-  the wide ``text`` column never enters the object store; each packed
-  block goes to a split task. It executes when called and returns a
-  Dataset over the reduce outputs.
+- ``rollup_dataset(ds)`` runs that body as its one Ray Data map after
+  the read, so the wide ``text`` column never enters the object store;
+  each packed block goes to a split task. It executes when called and
+  returns a Dataset over the reduce outputs. It has no hooks.
 - ``run_rollup_job`` (state/checkpoint.py) runs on plain Ray tasks over
   :func:`input_units` (row-group ranges of the input files, from parquet
   metadata): one map task per unit reads, derives, packs and splits
-  (:func:`rollup_units`); the job adds its bookkeeping (lineage, resume
-  filter, recorded hot set) and the shared partition writer.
+  (:func:`rollup_units`); the job adds its bookkeeping (lineage, the
+  resume's ``skip_parts``, recorded hot set) and the partition writer
+  as the reduce task's ``sink``.
 
 ``rollup_table`` is the in-process reference (no Ray) that the parity
 tests compare against.
@@ -154,18 +154,16 @@ def _cached_worker(key: str, config: RollupConfig, hot) -> RollupWorker:
     return worker
 
 
-def _derive_fn(config: RollupConfig, hot):
-    def fn(batch: pa.Table) -> pa.Table:
-        return DeriveAssign(config, hot_list=_resolve_hot(hot))(batch)
-
-    return fn
+def _derive_pack(batch: pa.Table, config: RollupConfig, hot) -> pa.Table:
+    """Input rows → derived, packed rows: the map side of both entry
+    points (:func:`rollup_dataset`'s Ray Data map and :func:`_map_unit`)."""
+    return pack_derived(DeriveAssign(config, hot_list=_resolve_hot(hot))(batch))
 
 
 @ray.remote
 def _map_unit(unit: InputUnit, config: RollupConfig, hot, skip: list) -> list:
     """One input unit → its derived, packed rows split by ``part``."""
-    table = unit.read(INPUT_COLUMNS)
-    packed = pack_derived(DeriveAssign(config, hot_list=_resolve_hot(hot))(table))
+    packed = _derive_pack(unit.read(INPUT_COLUMNS), config, hot)
     return split_by_part(packed, config.num_partitions, skip)
 
 
@@ -197,8 +195,13 @@ def rollup_units(
 ) -> list:
     """The rollup over input units on plain Ray tasks, for a config with
     ``num_partitions`` set: one map task per unit, one reduce task per
-    partition that receives rows and is not in ``skip_parts``. Returns the
-    refs of the reduce outputs (see :func:`rollup_dataset` for ``sink``)."""
+    partition that receives rows and is not in ``skip_parts`` (a
+    resume's completed partitions: their rows are dropped in the split).
+    Returns the refs of the reduce outputs: tier rows, or, with ``sink``
+    (a picklable ``(tier_rows, part, stage_record) -> pa.Table`` run in
+    each reduce task after the worker), what it returns
+    (``state.checkpoint.PartitionWriter`` writes the partition and
+    returns its one-row summary)."""
     hot = _broadcast_hot(hot_list)
     skip = sorted(skip_parts)
     map_unit = _map_unit.options(num_returns=config.num_partitions + 1)
@@ -211,28 +214,21 @@ def rollup_dataset(
     config: RollupConfig | None = None,
     *,
     hot_list=None,
-    skip_parts: Iterable[int] = (),
-    sink: Callable[[pa.Table, int, dict], pa.Table] | None = None,
 ):
     """Run the rollup over ``ds`` and return a Dataset of tier rows. The
     pipeline executes when this is called; it is not lazy.
 
-    Ray Data runs the read, derive and :func:`pack_derived` map, so only
-    packed rows (one list-packed row per (block, part, conv run)) enter
-    the object store. Each packed block then goes to a split task of the
-    one routed exchange (stages/exchange.py), and one reduce task per
-    partition unpacks its pieces and runs the worker, which sorts and
-    dedups: output is bit-identical to the in-process :func:`rollup_table`
+    Ray Data runs the read and one map, :func:`_derive_pack` (the body
+    :func:`_map_unit` runs too), so only packed rows (one list-packed row
+    per (block, part, conv run)) enter the object store. Each packed
+    block then goes to a split task of the one routed exchange
+    (stages/exchange.py), and one reduce task per partition unpacks its
+    pieces and runs the worker, which sorts and dedups: output is
+    bit-identical to the in-process :func:`rollup_table`
     (tests/test_parallelism_invariance.py).
 
     The hot set is ``hot_list`` when given, else detected on ``ds`` when
     ``config.hot_threshold`` is set.
-
-    ``skip_parts`` drops those partitions in the split. ``sink``, a
-    picklable ``(tier_rows, part, stage_record) -> pa.Table``, runs in
-    each reduce task after the worker; the Dataset then holds what it
-    returns instead of tier rows (``state.checkpoint.PartitionWriter``
-    writes the partition and returns its one-row summary).
     """
     config = config or RollupConfig()
     # auto partition count resolves BEFORE any worker state keys on
@@ -245,18 +241,14 @@ def rollup_dataset(
         hot_list = detect_hot_convs(ds, config.hot_threshold)
     hot = _broadcast_hot(hot_list)
     packed = ds.map_batches(
-        _derive_fn(config, hot),
+        _derive_pack,
+        fn_kwargs={"config": config, "hot": hot},
         batch_format="pyarrow",
         batch_size=None,  # whole blocks; the default 1024-row batches add
         zero_copy_batch=True,  # ~100x task overhead on wide scans
-    ).map_batches(
-        pack_derived,
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
     )
-    routed = exchange(packed, config.num_partitions, skip_parts)
-    return rd.from_arrow_refs(_reduce(routed, config, hot, sink))
+    routed = exchange(packed, config.num_partitions)
+    return rd.from_arrow_refs(_reduce(routed, config, hot, None))
 
 
 def rollup_table(
@@ -264,9 +256,9 @@ def rollup_table(
 ) -> pa.Table:
     """In-process reference path (no Ray): derive + single-partition worker.
 
-    Used by tests as the naive oracle and by tiny inputs; produces the same
-    rows as ``rollup_dataset`` given the same ``hot_list``, modulo row
-    order (no hot set is detected here).
+    The tests' reference; no production caller uses it. It produces the
+    same rows as ``rollup_dataset`` given the same ``hot_list``, modulo
+    row order (no hot set is detected here).
     """
     config = (config or RollupConfig()).resolved(table.num_rows, num_cpus=1)
     derived = DeriveAssign(config, hot_list=hot_list)(table)

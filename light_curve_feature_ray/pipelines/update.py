@@ -19,15 +19,17 @@ tier rows for a conversation depend only on that conversation's rows
 routed to the partition (``hash % P`` for normal conversations, the
 salted (conv, day-window) key for hot ones, and gap-fill truncates at
 salt windows), so the partitions a delta touches are exactly the
-``part`` values of the derived delta. One ``_derive`` task per delta
-file derives and routes it; one ``_fold_part`` task per touched
-partition decodes that partition's old points of the delta's
-conversations, recomputes them and rewrites the partition file.
+``part`` values of the derived delta. In the rollup's routed shape
+(stages/exchange.py), one ``_derive`` task per delta input unit derives
+and splits its rows by ``part``, and one ``_fold_part`` task per touched
+partition gets only that partition's pieces, decodes its old points of
+the delta's conversations, recomputes them and rewrites the file.
 
 Update contract (documented, tested):
 
 - ``config.store_points`` must be True (the 1m points are the state);
-- append semantics: delta ``turn_idx`` must be NEW turns, strictly
+- append semantics: delta ``turn_idx`` must be NEW turns in [0, 2**31)
+  (``DeriveAssign`` refuses others before any write), strictly
   greater than every already-ingested turn_idx of that conversation
   (late *timestamps* are fine — the kernel re-sorts by time bucket; and
   duplicate turn_idx WITHIN the delta settles by the normal
@@ -52,7 +54,9 @@ import pyarrow.parquet as pq
 import ray
 
 from ..codec import gorilla
+from ..stages.exchange import route, split_by_part
 from ..stages.rollup import (
+    MAX_TURN_IDX,
     US_PER_MIN,
     DeriveAssign,
     RollupConfig,
@@ -69,22 +73,21 @@ from ..state.checkpoint import (
 )
 from .rollup import (
     INPUT_COLUMNS,
+    InputUnit,
     _broadcast_hot,
     _cached_worker,
     _resolve_hot,
     _worker_key,
-    parquet_files,
+    input_units,
 )
 
-_DELTA_OFFSET = np.int64(2) ** 31
+_DELTA_OFFSET = np.int64(MAX_TURN_IDX)
 _POS_BITS = 21  # max 2**21 points per (conv, minute) bucket in okey
 
 
 def _delta_prep(batch: pa.Table) -> pa.Table:
     """DeriveAssign output -> routed delta rows (src=1, okey=turn_idx)."""
     turn = batch["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
-    if turn.size and (turn.min() < 0 or turn.max() >= _DELTA_OFFSET):
-        raise ValueError("delta turn_idx must be in [0, 2**31)")
     return pa.table(
         {
             "conv_id": batch["conv_id"],
@@ -197,18 +200,16 @@ def _stage(prev: dict, batch: pa.Table, worker: RollupWorker) -> dict:
     return {k: prev.get(k, 0) + v for k, v in stage.items()}
 
 
-@ray.remote(num_returns=2)
-def _derive(path: str, config: RollupConfig, hot, max_convs: int):
-    """One delta file -> (its derived delta rows, (its sorted distinct
-    ``part`` ids, at most ``max_convs + 1`` of its distinct conv_ids —
-    enough for the driver's bound check)). The rows stay in the object
-    store for the fold tasks; the driver fetches only the second value."""
-    table = pq.read_table(path, columns=INPUT_COLUMNS)
-    if table.num_rows == 0:  # routes nothing (its columns may be null-typed)
-        return table, ([], pa.array([], pa.string()))
+@ray.remote
+def _derive(unit: InputUnit, config: RollupConfig, hot, max_convs: int) -> list:
+    """One delta unit -> :func:`split_by_part` of its derived delta rows
+    (P pieces, then their row counts), then at most ``max_convs + 1`` of
+    its distinct conv_ids for the driver's bound check. Run with
+    ``num_returns=P + 2``; the driver fetches the last two only."""
+    table = unit.read(INPUT_COLUMNS)
     derived = _delta_prep(DeriveAssign(config, hot_list=_resolve_hot(hot))(table))
     convs = pc.unique(table["conv_id"].cast(pa.string())).slice(0, max_convs + 1)
-    return derived, (sorted(pc.unique(derived["part"]).to_pylist()), convs)
+    return split_by_part(derived, config.num_partitions) + [convs]
 
 
 @ray.remote
@@ -219,10 +220,10 @@ def _fold_part(
     lineage: dict,
     config: RollupConfig,
     hot,
-    *derived: pa.Table,
+    *pieces: pa.Table,
 ):
-    """Fold the delta rows routed to ``part`` (from the ``derived`` tables
-    of the delta files that route rows here) into ``part=<part>``: replay
+    """Fold the delta rows routed to ``part`` (the ``pieces`` of the delta
+    units that route rows here) into ``part=<part>``: replay
     the old 1m points of the delta's conversations in this file, recompute
     them with the cached worker and rewrite the file. Returns
     ``(part, rows written)``, or ``(part, None)`` when the partition's
@@ -243,7 +244,7 @@ def _fold_part(
         if manifest is None or delta_path not in manifest["lineage"].get("deltas", []):
             _restore_manifest(out_dir, part, manifest)
         return part, None
-    rows = pa.concat_tables([d.filter(pc.equal(d["part"], part)) for d in derived])
+    rows = pa.concat_tables(pieces)
     hot_set = set(_resolve_hot(hot) or ())
     kept, sel = None, pa.table({})
     if os.path.exists(path):
@@ -283,15 +284,14 @@ def update_rollup_job(
     layout), rewriting ONLY the partitions the delta routes rows to —
     every other partition file is neither read nor rewritten.
 
-    Plain Ray tasks, no Dataset execution: one ``_derive`` task per delta
-    file derives and routes its rows with the store's config and recorded
-    hot set (from ``_job.json``) and reports its ``part`` ids and
-    conv_ids; the driver holds only those ids and checks the distinct
+    Plain Ray tasks in the rollup's routed shape, no Dataset: one
+    ``_derive`` task per delta unit derives and splits its rows with the
+    store's config and recorded hot set (from ``_job.json``); the driver
+    holds only conv_ids and piece row counts, and checks the distinct
     conversations against ``max_update_convs`` before anything is
-    written. Then one ``_fold_part`` task per touched partition receives
-    the derived tables of the files that route rows to it, and folds
-    them in (see the module docs for why routing finds every affected
-    row).
+    written, as a ``turn_idx`` outside [0, 2**31) fails the derive. Then
+    one ``_fold_part`` task per touched partition folds its pieces in
+    (see the module docs for why routing finds every affected row).
 
     Resumable + idempotent per partition: each rewritten partition's
     lineage (in its data file's footer and in its manifest) records the
@@ -312,22 +312,20 @@ def update_rollup_job(
             "update_rollup_job needs a store built with store_points=True"
         )
     hot = _broadcast_hot(prior.get("hot") or [])
+    derive = _derive.options(num_returns=config.num_partitions + 2)
     derived = [
-        _derive.remote(path, config, hot, max_update_convs)
-        for path in parquet_files(delta_path)
+        derive.remote(unit, config, hot, max_update_convs)
+        for unit in input_units(delta_path)
     ]
-    routed: dict[int, list] = {}
     convs: set = set()
-    for rows_ref, ids_ref in derived:
-        parts, file_convs = ray.get(ids_ref)
-        convs.update(file_convs.to_pylist())
+    for out in derived:
+        convs.update(ray.get(out[-1]).to_pylist())
         if len(convs) > max_update_convs:
             raise ValueError(
                 f"delta touches more than max_update_convs={max_update_convs} "
                 "conversations; split the delta or raise the bound"
             )
-        for p in parts:
-            routed.setdefault(p, []).append(rows_ref)
+    routed = route([out[:-1] for out in derived])
     done = sorted(completed_partitions(out_dir))
     if not routed:
         return {
@@ -339,8 +337,8 @@ def update_rollup_job(
     lineage = {"input": prior["input"], "config": prior["config"]}
     folded = ray.get(
         [
-            _fold_part.remote(out_dir, p, delta_path, lineage, config, hot, *refs)
-            for p, refs in sorted(routed.items())
+            _fold_part.remote(out_dir, p, delta_path, lineage, config, hot, *pieces)
+            for p, pieces in routed.items()
         ]
     )
     chain = prior.get("deltas", [])

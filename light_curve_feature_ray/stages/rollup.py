@@ -4,15 +4,16 @@ Pipeline shape (SURVEY.md §3, §7):
 
 1. ``derive``: stateless, over zero-copy Arrow — project each turn to
    (conv_id, turn_idx, ts_us, m=len(text), w=1.0) and assign a partition
-   id ``part = hash64(conv_id) % P``. Hot conversations (detected by a
-   cheap pre-aggregated count pass and broadcast via ``ray.put``) are
+   id ``part = hash64(conv_id) % P``. Hot conversations (detected by an
+   exact count pass whose partial counts are summed in the same routed
+   shape, :func:`detect_hot_convs`, and broadcast via ``ray.put``) are
    salted: their part key also mixes ``day // salt_window_days``, spreading
    a huge conversation across partitions by time range. Tier buckets are at
    most 1 day and salt ranges are whole days, so no bucket ever spans two
    salt ranges; gap-fill for hot convs is bounded to the salt window
    (documented skew/correctness trade-off). ``pack_derived`` then folds
    each block to one list-packed row per (part, conv run).
-2. The routed exchange (stages/exchange.py): THE single all-to-all step.
+2. The routed exchange (stages/exchange.py): the one all-to-all shape.
    Each map-side task splits its packed block by ``part`` into P pieces
    (no sort, no merge: a partition's tier rows depend only on the rows
    routed to it), and one reduce task per partition concatenates its
@@ -35,7 +36,9 @@ Pipeline shape (SURVEY.md §3, §7):
    suite, incl. the periodogram FFT scratch cache) is built once in
    ``__init__`` and cached per Ray worker process (pipelines/rollup.py).
 
-No other shuffle exists; the cascade is conv-local once partitioned.
+No other shuffle exists: the hot pre-pass and the incremental update
+(pipelines/update.py) route the same way, and the cascade is conv-local
+once partitioned.
 """
 
 from __future__ import annotations
@@ -222,7 +225,9 @@ ROWS_PER_BLOCK = 250_000
 def hash_strings(arr: pa.Array | pa.ChunkedArray, seed: int = 0) -> np.ndarray:
     """Deterministic vectorized 64-bit hash of a string column via polars
     (ahash with fixed seeds; stable across processes for a given polars
-    version, which is all a single job needs)."""
+    version). A job store outlives the job: ``update_rollup_job`` routes a
+    delta with this hash against partitions written earlier, so the store
+    is tied to the polars version that wrote it (ROADMAP direction 6)."""
     import polars as pl
 
     s = pl.from_arrow(arr)
@@ -259,10 +264,17 @@ def assign_parts(
     return part
 
 
+#: bound of ``turn_idx``: the worker sorts on ``(code << 32) | turn_idx``
+#: and the update offsets delta turns by it
+MAX_TURN_IDX = 2**31
+
+
 class DeriveAssign:
     """Stateless-per-batch map_batches callable: derive (t, m, w) and assign
     the (salted) partition key. The hot-conv list is broadcast once via
-    ``ray.put`` and resolved per worker (pipelines/rollup.py)."""
+    ``ray.put`` and resolved per worker (pipelines/rollup.py). Raises
+    ``ValueError`` for a ``turn_idx`` outside [0, 2**31): every rollup,
+    job and update derives through here, before anything is written."""
 
     def __init__(self, config: RollupConfig, hot_list=None):
         self.config = config
@@ -270,6 +282,11 @@ class DeriveAssign:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.config
+        lo, hi = pc.min_max(batch["turn_idx"]).values()
+        if lo.is_valid and (lo.as_py() < 0 or hi.as_py() >= MAX_TURN_IDX):
+            raise ValueError(
+                f"turn_idx must be in [0, 2**31), got [{lo.as_py()}, {hi.as_py()}]"
+            )
         ts_us = batch["ts"].cast(pa.int64())
         # null text counts as zero-length (deterministic total rule)
         m = pc.cast(
@@ -424,16 +441,6 @@ def _count_unit(unit) -> tuple[pa.Table, int]:
 
 
 @ray.remote
-def _select_partials(block: pa.Table, floor: int | None, convs) -> pa.Table:
-    """``floor`` set: the block's convs whose summed partial count is at
-    least ``floor``; else the block's partial rows of ``convs``."""
-    if floor is not None:
-        sums = block.group_by("conv_id").aggregate([("cnt", "sum")])
-        return sums.filter(pc.greater_equal(sums["cnt_sum"], floor))
-    return block.filter(pc.is_in(block["conv_id"], value_set=convs))
-
-
-@ray.remote
 def _route_partials(block: pa.Table, num_parts: int) -> list:
     """Split partial rows by ``hash(conv_id) % num_parts``."""
     part = hash_strings(block["conv_id"].cast(pa.string())) % np.uint64(num_parts)
@@ -448,9 +455,9 @@ def _hot_of_part(threshold: int, *pieces: pa.Table) -> list:
     return total.filter(pc.greater_equal(total["cnt_sum"], threshold))["conv_id"].to_pylist()
 
 
-#: most (block, conv) partial rows :func:`detect_hot_convs` sums on the
-#: driver; above it the partials are summed by a routed exchange
-HOT_DRIVER_ROWS = 1_000_000
+#: most (block, conv) partial rows one summing task of
+#: :func:`detect_hot_convs` receives
+HOT_ROWS_PER_TASK = 1_000_000
 
 
 def detect_hot_convs(source, threshold: int):
@@ -461,15 +468,11 @@ def detect_hot_convs(source, threshold: int):
 
     Each input block (or unit) yields one (conv_id, cnt) partial row per
     conv it holds (whole blocks — 1024-row batches would emit millions of
-    partial rows). Up to ``HOT_DRIVER_ROWS`` partial rows, no exchange
-    runs (an exchange over the partials costs several times the count pass
-    itself): a conv with ``threshold`` rows spread over B blocks has at
-    least ``threshold / B`` of them in one block, so only convs reaching
-    that in some block are candidates, and only their partials reach the
-    driver to be summed. Above it — many blocks make that floor low and
-    nearly every conv a candidate — the partials are routed by conv_id
-    hash (stages/exchange.py) and summed in ``HOT_DRIVER_ROWS``-row reduce
-    tasks.
+    partial rows). The partials then take the rollup's routed shape
+    (stages/exchange.py): one task per block splits them by conv_id hash
+    into ``ceil(partial rows / HOT_ROWS_PER_TASK)`` parts (at most one
+    per block), and one summing task per part returns its convs that
+    reach ``threshold``. Nothing is summed on the driver.
     """
     if isinstance(source, list):
         counted = [_count_unit.remote(unit) for unit in source]
@@ -483,24 +486,13 @@ def detect_hot_convs(source, threshold: int):
         )
         refs = partials.to_arrow_refs()
         n_partials = partials.count()
-    if n_partials > HOT_DRIVER_ROWS:
-        num_parts = min(len(refs), -(-n_partials // max(HOT_DRIVER_ROWS, 1)))
-        split = _route_partials.options(num_returns=num_parts + 1)
-        routed = route([split.remote(r, num_parts) for r in refs])
-        found = ray.get([_hot_of_part.remote(threshold, *p) for p in routed.values()])
-        return [conv for convs in found for conv in convs]
-    floor = max(-(-int(threshold) // max(len(refs), 1)), 1)
-    found = ray.get([_select_partials.remote(r, floor, None) for r in refs])
-    found = [t for t in found if t.num_rows]
-    if not found:
+    if not n_partials:
         return []
-    candidates = ray.put(
-        pc.unique(pa.concat_tables(found)["conv_id"].combine_chunks())
-    )
-    rows = ray.get([_select_partials.remote(r, None, candidates) for r in refs])
-    total = pa.concat_tables(rows).group_by("conv_id").aggregate([("cnt", "sum")])
-    hot = total.filter(pc.greater_equal(total["cnt_sum"], threshold))
-    return hot["conv_id"].to_pylist()
+    num_parts = min(len(refs), -(-n_partials // HOT_ROWS_PER_TASK))
+    split = _route_partials.options(num_returns=num_parts + 1)
+    routed = route([split.remote(r, num_parts) for r in refs])
+    found = ray.get([_hot_of_part.remote(threshold, *p) for p in routed.values()])
+    return [conv for convs in found for conv in convs]
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +656,9 @@ class RollupWorker:
         m = batch["m"].to_numpy(zero_copy_only=False)
 
         # single argsort on a composite key beats a 2-key lexsort (turn_idx
-        # is int32 so (code << 32) | turn is collision-free)
+        # is below 2**32 — DeriveAssign bounds the input's, the update's
+        # synthesized ones stay under 2 * MAX_TURN_IDX — so
+        # (code << 32) | turn is collision-free)
         order = np.argsort((codes << np.int64(32)) | turn)
         codes, turn, ts_us, m = codes[order], turn[order], ts_us[order], m[order]
         keep = np.ones(codes.shape[0], dtype=bool)

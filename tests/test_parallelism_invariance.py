@@ -157,15 +157,17 @@ def test_packed_exchange_salted_and_dups(ray_session, salted_dir):
 
 @pytest.mark.parametrize("parts, skip", [(1, ()), (1, (0,)), (2, (1,)), (7, (0, 3, 6))])
 def test_routed_exchange_skip_parts(ray_session, synth_dir, parts, skip):
-    """At any partition count, including 1 (one piece per block) and
-    with ``skip_parts``, rollup_dataset yields the in-process reference's
-    rows — points bytes included — less exactly the skipped partitions'."""
+    """At any partition count, including 1 (one piece per unit) and
+    with ``skip_parts`` (the job's resume path), rollup_units yields the
+    in-process reference's rows — points bytes included — less exactly
+    the skipped partitions'."""
     import pyarrow.parquet as pq
+    import ray
 
     from light_curve_feature_ray.pipelines.rollup import (
-        read_transcripts,
-        rollup_dataset,
+        input_units,
         rollup_table,
+        rollup_units,
     )
     from light_curve_feature_ray.stages.rollup import DeriveAssign
 
@@ -181,12 +183,11 @@ def test_routed_exchange_skip_parts(ray_session, synth_dir, parts, skip):
     convs = pc.unique(skipped["conv_id"].cast(pa.string()))
     ref = rollup_table(table, cfg)
     want = _sorted(ref.filter(pc.invert(pc.is_in(ref["conv_id"], convs))).to_pandas())
-    got = rollup_dataset(
-        read_transcripts(synth_dir, num_blocks=4), cfg, skip_parts=skip
-    ).to_pandas()
+    got = ray.get(rollup_units(input_units(synth_dir), cfg, skip_parts=skip))
     if want.empty:
-        assert got.empty
+        assert got == []
     else:
+        got = pa.concat_tables(got).to_pandas()
         pd.testing.assert_frame_equal(_sorted(got)[want.columns], want)
 
 

@@ -541,7 +541,7 @@ def test_auto_num_partitions_rule():
 
 
 def test_detect_hot_convs_exact(ray_session):
-    """The shuffle-free hot pre-pass is exact: a conv spread evenly over
+    """The routed hot pre-pass is exact: a conv spread evenly over
     every block at exactly the threshold is hot, one row fewer is not."""
     import ray.data as rd
 
@@ -563,9 +563,9 @@ def test_detect_hot_convs_exact(ray_session):
 
 
 def test_detect_hot_convs_many_blocks(ray_session, monkeypatch):
-    """Many blocks and a floor of 1-2 rows make nearly every conv a
-    candidate; the driver sum and the exchange fallback (taken above
-    HOT_DRIVER_ROWS partial rows) both give the exact hot set."""
+    """Many blocks put nearly every conv's count in several partials; the
+    routed sum gives the exact hot set with one summing task and with
+    more than one (forced through HOT_ROWS_PER_TASK)."""
     from collections import Counter
 
     import ray.data as rd
@@ -576,13 +576,24 @@ def test_detect_hot_convs_many_blocks(ray_session, monkeypatch):
     convs = [f"c{i}" for i in rng.zipf(1.6, 3000) % 200]
     ds = rd.from_arrow(pa.table({"conv_id": convs})).repartition(40).materialize()
     counts = Counter(convs)
-    for threshold in (20, 60):
-        want = sorted(c for c, n in counts.items() if n >= threshold)
-        assert len(want) > 1
-        assert sorted(stages.detect_hot_convs(ds, threshold)) == want
-        monkeypatch.setattr(stages, "HOT_DRIVER_ROWS", 0)
-        assert sorted(stages.detect_hot_convs(ds, threshold)) == want
-        monkeypatch.undo()
+    summing_tasks = []
+    hot_of_part = stages._hot_of_part
+
+    class Counted:
+        def remote(self, *args):
+            summing_tasks[-1] += 1
+            return hot_of_part.remote(*args)
+
+    monkeypatch.setattr(stages, "_hot_of_part", Counted())
+    for rows_per_task in (stages.HOT_ROWS_PER_TASK, 100):
+        monkeypatch.setattr(stages, "HOT_ROWS_PER_TASK", rows_per_task)
+        for threshold in (20, 60):
+            want = sorted(c for c, n in counts.items() if n >= threshold)
+            assert len(want) > 1
+            summing_tasks.append(0)
+            assert sorted(stages.detect_hot_convs(ds, threshold)) == want
+    assert summing_tasks[:2] == [1, 1]
+    assert min(summing_tasks[2:]) > 1
 
 
 def test_auto_num_partitions_never_guesses_cpus(monkeypatch):

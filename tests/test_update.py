@@ -200,6 +200,53 @@ def test_update_guards(ray_session, tmp_path):
     assert _files(out_dir) == before
 
 
+def test_turn_idx_out_of_range_refused(ray_session, tmp_path):
+    """A turn_idx outside [0, 2**31) breaks the worker's composite sort
+    key (two convs' turns at -1 came out as one conv's bucket).
+    ``DeriveAssign`` refuses it, so ``rollup_table``, ``run_rollup_job``
+    and ``update_rollup_job`` all raise, and no store file changes."""
+    import pyarrow.parquet as pq
+
+    from light_curve_feature_ray.pipelines.rollup import rollup_table
+    from light_curve_feature_ray.pipelines.update import update_rollup_job
+    from light_curve_feature_ray.state.checkpoint import run_rollup_job
+
+    def with_turns(table: pa.Table, turns) -> pa.Table:
+        i = table.schema.get_field_index("turn_idx")
+        return table.set_column(i, "turn_idx", pa.array(turns, pa.int64()))
+
+    two = pa.table(
+        {
+            "conv_id": ["a", "b"],
+            "turn_idx": [0, 0],
+            "text": ["x", "yy"],
+            "ts": pa.array([60_000_000, 60_000_000], pa.timestamp("us")),
+        }
+    )
+    for turns in ([-1, -1], [0, 2**31]):
+        with pytest.raises(ValueError, match="turn_idx must be in"):
+            rollup_table(with_turns(two, turns), _cfg())
+    bad_path = str(tmp_path / "bad.parquet")
+    pq.write_table(with_turns(two, [-1, -1]), bad_path)
+    job_dir = str(tmp_path / "bad_job")
+    with pytest.raises(ValueError, match="turn_idx must be in"):
+        run_rollup_job(bad_path, job_dir, _cfg())
+    assert not [p for p in os.listdir(job_dir) if p.startswith("part=")]
+
+    tbl = synth_transcripts_table(n_convs=4, mean_turns=10, hot_convs=0, seed=5)
+    df = tbl.to_pandas()
+    mask = _suffix_mask(df, 0.3, only_even_convs=False)
+    out_dir, delta_path = _job_store(tmp_path, df, mask, _cfg())
+    delta = pq.read_table(delta_path)
+    turns = delta["turn_idx"].to_numpy().astype(np.int64)
+    turns[0] = -1
+    pq.write_table(with_turns(delta, turns), delta_path)
+    before = _files(out_dir)
+    with pytest.raises(ValueError, match="turn_idx must be in"):
+        update_rollup_job(out_dir, delta_path)
+    assert _files(out_dir) == before
+
+
 def test_update_rollup_job(ray_session, tmp_path):
     """Job-level incremental update: only affected partitions rewritten
     (byte-untouched otherwise), result equals a full recompute, rerunning
@@ -381,9 +428,11 @@ def test_update_rollup_job_empty_delta(ray_session, tmp_path):
 def test_update_rollup_job_conv_bound(ray_session, tmp_path):
     """max_update_convs raises before any file is written; each derive
     task hands the driver at most max_update_convs + 1 conv ids and its
-    part ids, never delta rows."""
+    piece row counts, never delta rows, and piece ``p`` holds only the
+    rows of partition ``p``."""
     import ray
 
+    from light_curve_feature_ray.pipelines.rollup import input_units
     from light_curve_feature_ray.pipelines.update import (
         _derive,
         update_rollup_job,
@@ -399,10 +448,16 @@ def test_update_rollup_job_conv_bound(ray_session, tmp_path):
         update_rollup_job(out_dir, delta_path, max_update_convs=1)
     assert _files(out_dir) == before
 
-    rows_ref, ids_ref = _derive.remote(delta_path, cfg, None, 1)
-    parts, convs = ray.get(ids_ref)
-    assert len(convs) == 2
-    assert parts == sorted(set(ray.get(rows_ref)["part"].to_pylist()))
+    (unit,) = input_units(delta_path)
+    out = _derive.options(num_returns=cfg.num_partitions + 2).remote(unit, cfg, None, 1)
+    convs = ray.get(out[-1])
+    assert isinstance(convs, pa.Array) and len(convs) == 2
+    counts = ray.get(out[-2])
+    assert sum(counts) == mask.sum()
+    for p, piece in enumerate(ray.get(out[:-2])):
+        assert piece.num_rows == counts[p]
+        assert set(piece["part"].to_pylist()) <= {p}
+    assert sum(n > 0 for n in counts) > 1
 
 
 def test_update_rollup_job_torn_partition(ray_session, tmp_path):
