@@ -590,8 +590,9 @@ def _periodogram(ctx, f, fv):
 
     arr = batched_periodogram_peaks(
         ctx.t,
-        ctx.m,
+        ctx.centered(),
         ctx.starts,
+        ctx.std2(),
         peaks=f.peaks,
         resolution=f.resolution,
         max_freq_factor=f.max_freq_factor,
