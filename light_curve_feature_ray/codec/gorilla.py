@@ -30,11 +30,18 @@ There is one encoder: :func:`_encode_segments_raw` encodes many series
 at once with numpy (every field becomes one token of <= 64 bits, plus a
 continuation token for the rare longer ones, and tokens are OR-ed into
 big-endian 64-bit words); :func:`encode` is its one-segment call, so the
-scalar and the batched blobs are byte-identical by construction. The
-decoder reads tokens with shifts of a big-endian Python int over a
-window of the blob, one call per blob (decode is off the rollup hot
-path: the tier cascade computes holistic features from in-memory raw
-points; readers and the incremental update decode).
+scalar and the batched blobs are byte-identical by construction.
+
+There is one decoder, its mirror: :func:`decode` takes one blob or every
+blob of a binary array. It reads all headers at once, then one token of
+every blob per numpy round (the timestamp tokens, then the value
+tokens), and rebuilds timestamps and values with per-blob running sums
+and XORs. A round costs the same few numpy calls however few blobs are
+still running, so the last few (the longest; a single blob is one) are
+walked token by token with shifts of a big-endian Python int over a
+window of the buffer. Decode is off the rollup hot path (the tier
+cascade computes holistic features from in-memory raw points); the
+incremental update decodes a partition's old 1m points in one call.
 """
 
 from __future__ import annotations
@@ -267,12 +274,24 @@ def encode_segments_arrow(ts: np.ndarray, values: np.ndarray, starts: np.ndarray
     )
 
 
-#: bytes of the blob held in one Python int while decoding: shifts cost
-#: O(window), so a long blob is walked in windows instead of one huge int
+
+
+# ---------------------------------------------------------------------------
+# decoder
+# ---------------------------------------------------------------------------
+
+#: bytes of the buffer held in one Python int by the scalar walk: shifts
+#: cost O(window), so a long blob is walked in windows instead of one huge int
 _WINDOW_BYTES = 256
-#: refill when fewer bits than this are left in the window (the longest
-#: delta-of-delta token is 69 bits, the longest XOR token 77)
+#: the scalar walk refills when fewer bits than this are left in its window
+#: (the longest delta-of-delta token is 69 bits, the longest XOR token 77)
 _REFILL_BITS = 160
+#: the lockstep hands the blobs still running to the scalar walk once this
+#: few are left: a round costs ~20 numpy calls, however few blobs it reads
+_LOCKSTEP_MIN = 8
+#: zero bytes after the last blob, so no read of a valid token runs past
+#: the buffer (>= _REFILL_BITS / 8, whole 64-bit words)
+_PAD_BYTES = 24
 
 
 def _dod_read_table() -> tuple:
@@ -285,80 +304,226 @@ def _dod_read_table() -> tuple:
 
 
 _DOD_READ = _dod_read_table()
+# the same table as arrays for the lockstep; the raw escape's payload does
+# not fit the 64-bit read and is read on its own (its step is 69)
+_DSTEP = np.array([t[0] for t in _DOD_READ], dtype=np.int64)
+_DSHIFT = np.array([max(64 - t[0], 0) for t in _DOD_READ], dtype=np.uint64)
+_DMASK = np.array([t[1] for t in _DOD_READ], dtype=np.uint64)
+_DBIAS = np.array([t[2] for t in _DOD_READ], dtype=np.uint64)
+
+#: token length that marks a corrupt XOR control ('10', or a window
+#: reaching past bit 64)
+_CORRUPT = 1 << 20
 
 
-def _read_dod(word: int, end: int, pos: int) -> tuple[int, int]:
-    """The delta-of-delta token at bit ``pos`` of ``word`` (whose last bit
-    is bit ``end - 1``): (its value, the bit just past it). A raw escape
-    reads as its unsigned 64-bit word."""
-    step, mask, bias = _DOD_READ[(word >> (end - pos - 5)) & 31]
-    pos += step
-    return ((word >> (end - pos)) & mask) - bias, pos
+def _xor_read_tables():
+    """XOR control (the next 13 bits) -> (token bits, right shift that
+    leaves the meaningful bits of the 64 after the control, left shift
+    that puts them back in place)."""
+    ctl = np.arange(1 << 13, dtype=np.int64)
+    lead, mlen = (ctl >> 6) & 31, (ctl & 63) + 1
+    window = ctl >> 11 == 0b11
+    step = np.where(window, 13 + mlen, 1)
+    step[(ctl >> 11 == 0b10) | (window & (lead + mlen > 64))] = _CORRUPT
+    # a '0' token shifts everything out: numpy defines shifts >= 64 as 0
+    cut = np.where(window, 64 - mlen, 64).astype(np.uint64)
+    put = np.where(window & (step < _CORRUPT), 64 - lead - mlen, 0).astype(np.uint64)
+    return step, cut, put
 
 
-def _read_xor(word: int, end: int, pos: int) -> tuple[int, int]:
-    """The XOR token at bit ``pos``: (the 64-bit word it holds, the bit
-    just past it)."""
-    ctl = (word >> (end - pos - 13)) & 0x1FFF
-    if not ctl >> 12:  # '0'
-        return 0, pos + 1
-    if ctl >> 11 != 0b11:
-        raise ValueError("corrupt Gorilla blob: expected a '11' XOR window")
-    mlen = (ctl & 63) + 1
-    pos += 13 + mlen
-    return ((word >> (end - pos)) & ((1 << mlen) - 1)) << (64 - ((ctl >> 6) & 31) - mlen), pos
+_XSTEP, _XCUT, _XPUT = _xor_read_tables()
 
 
-def decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Decode back to (int64 timestamps, float64 values).
+def _read64(words: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The 64 bits starting at each bit offset ``pos`` of the big-endian
+    ``words`` (padded with a zero word past the last bit read)."""
+    w = pos >> 6
+    s = (pos & 63).view(np.uint64)
+    return (words[w] << s) | (words[1:][w] >> (np.uint64(64) - s))
 
-    Bits are read with shifts of a big-endian Python int over a window of
-    the blob (zero-padded so a read never runs past the end). Timestamps
-    accumulate modulo 2**64, the inverse of the encoder's wrapping int64
-    deltas, so any int64 series round-trips."""
-    if not data:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    buf = bytes(data) + bytes(_REFILL_BITS // 8)
 
-    def window(pos: int) -> tuple[int, int]:
-        """The window starting at the byte holding bit ``pos``, and the
-        bit offset just past it."""
-        first = pos // 8
-        chunk = buf[first : first + _WINDOW_BYTES]
-        return int.from_bytes(chunk, "big"), (first + len(chunk)) * 8
+def _dod_tokens_at(words: np.ndarray, pos: np.ndarray):
+    """The delta-of-delta tokens at bit offsets ``pos``: (their values
+    modulo 2**64, their lengths)."""
+    word = _read64(words, pos)
+    ctl = (word >> np.uint64(59)).view(np.int64)
+    step = _DSTEP[ctl]
+    val = ((word >> _DSHIFT[ctl]) & _DMASK[ctl]) - _DBIAS[ctl]
+    if step.max() > 64:  # raw escapes: 64 bits after '11111'
+        raw = np.flatnonzero(step > 64)
+        val[raw] = _read64(words, pos[raw] + 5)
+    return val, step
 
-    # the header (<= 223 bits) fits the first window
-    word, end = window(0)
-    n, pos = _read_dod(word, end, 0)
-    n += 1
-    t, pos = _read_xor(word, end, pos)
-    v, pos = _read_xor(word, end, pos)
-    ts, vals = [t] * n, [v] * n
-    delta = 0
-    # the loops inline _read_dod / _read_xor: a call per point made long
-    # blobs ~15 % slower to decode
-    for i in range(1, n):
+
+def _xor_tokens_at(words: np.ndarray, pos: np.ndarray):
+    """The XOR tokens at bit offsets ``pos``: (the 64-bit words they hold,
+    their lengths)."""
+    word = _read64(words, pos)
+    ctl = (word >> np.uint64(51)).view(np.int64)
+    step = _XSTEP[ctl]
+    val = ((word << np.uint64(13)) >> _XCUT[ctl]) << _XPUT[ctl]
+    if step.max() > 64:  # more than 51 meaningful bits, or corrupt
+        long = np.flatnonzero(step > 64)
+        if step[long].max() >= _CORRUPT:
+            raise ValueError("corrupt Gorilla blob: expected a '11' XOR window")
+        ctl = ctl[long]
+        val[long] = (_read64(words, pos[long] + 13) >> _XCUT[ctl]) << _XPUT[ctl]
+    return val, step
+
+
+def _window(buf: bytes, pos: int) -> tuple[int, int]:
+    """The scalar walk's window: the bytes from the one holding bit
+    ``pos`` as one big-endian int, and the bit offset just past them."""
+    first = pos // 8
+    chunk = buf[first : first + _WINDOW_BYTES]
+    return int.from_bytes(chunk, "big"), (first + len(chunk)) * 8
+
+
+def _walk_dods(buf: bytes, pos: int, count: int) -> tuple[np.ndarray, int]:
+    """``count`` delta-of-delta tokens from bit ``pos`` of ``buf``, one at
+    a time: (their values modulo 2**64, the bit just past them)."""
+    out = [0] * count
+    word, end = _window(buf, pos)
+    for i in range(count):
         if end - pos < _REFILL_BITS:
-            word, end = window(pos)
+            word, end = _window(buf, pos)
         step, mask, bias = _DOD_READ[(word >> (end - pos - 5)) & 31]
         pos += step
-        delta += ((word >> (end - pos)) & mask) - bias
-        t = (t + delta) & _MASK64
-        ts[i] = t
-    for i in range(1, n):
+        out[i] = (((word >> (end - pos)) & mask) - bias) & _MASK64
+    return np.array(out, dtype=np.uint64), pos
+
+
+def _walk_xors(buf: bytes, pos: int, count: int) -> tuple[np.ndarray, int]:
+    """``count`` XOR tokens from bit ``pos`` of ``buf``, one at a time:
+    (the words they hold, the bit just past them)."""
+    out = [0] * count
+    word, end = _window(buf, pos)
+    for i in range(count):
         if end - pos < _REFILL_BITS:
-            word, end = window(pos)
+            word, end = _window(buf, pos)
         ctl = (word >> (end - pos - 13)) & 0x1FFF
         if ctl >> 12:
             if ctl >> 11 != 0b11:
                 raise ValueError("corrupt Gorilla blob: expected a '11' XOR window")
             mlen = (ctl & 63) + 1
             pos += 13 + mlen
-            v ^= ((word >> (end - pos)) & ((1 << mlen) - 1)) << (64 - ((ctl >> 6) & 31) - mlen)
+            out[i] = ((word >> (end - pos)) & ((1 << mlen) - 1)) << (64 - ((ctl >> 6) & 31) - mlen)
         else:
             pos += 1
-        vals[i] = v
-    return (
-        np.array(ts, dtype=np.uint64).view(np.int64),
-        np.array(vals, dtype=np.uint64).view(np.float64),
-    )
+    return np.array(out, dtype=np.uint64), pos
+
+
+def _lockstep(words, buf, pos, base, n, out, tokens_at, walk) -> None:
+    """Read token ``r = 1 .. n[i] - 1`` of a run of tokens of every blob
+    ``i`` into ``out[base[i] + r]``, from bit ``pos[i]`` (advanced in
+    place). Blobs are sorted by ``n`` descending, so the blobs still
+    running are a prefix; each round reads one token of each with numpy,
+    until ``_LOCKSTEP_MIN`` or fewer are left, which finish one at a time."""
+    counts = n.tolist()
+    k, r = len(counts), 1
+    while True:
+        while k and counts[k - 1] <= r:
+            k -= 1
+        if k <= _LOCKSTEP_MIN:
+            break
+        val, step = tokens_at(words, pos[:k])
+        out[base[:k] + r] = val
+        pos[:k] += step
+        r += 1
+    for i in range(k):
+        if counts[i] > r:
+            out[base[i] + r : base[i] + counts[i]], pos[i] = walk(buf, int(pos[i]), counts[i] - r)
+
+
+def _arrow_blobs(arr) -> tuple[np.ndarray, np.ndarray]:
+    """A pyarrow binary array's (or chunked array's) data buffer and
+    offsets."""
+    import pyarrow as pa
+
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if not pa.types.is_binary(arr.type):
+        raise TypeError(f"Gorilla blobs are binary, got {arr.type}")
+    if arr.null_count:
+        raise ValueError("a Gorilla blob is null")
+    _, obuf, dbuf = arr.buffers()
+    offsets = np.frombuffer(obuf, dtype=np.int32)[arr.offset : arr.offset + len(arr) + 1]
+    data = np.zeros(0, np.uint8) if dbuf is None else np.frombuffer(dbuf, dtype=np.uint8)
+    return data, offsets
+
+
+def decode(data, offsets=None) -> tuple[np.ndarray, np.ndarray]:
+    """Decode blobs back to (int64 timestamps, float64 values).
+
+    ``decode(blob)`` decodes one blob (bytes-like). ``decode(array)``
+    decodes every blob of a pyarrow binary array, and ``decode(buffer,
+    offsets)`` every ``buffer[offsets[i]:offsets[i + 1]]``; both return
+    the points of all blobs, concatenated in blob order (a blob's count
+    is the 1m tier's ``n_points``).
+
+    Every blob's header is read at once; then the blobs read their
+    timestamp tokens, and then their value tokens, in numpy lockstep
+    (one token of each blob per round), and the longest few finish with
+    a scalar walk over a Python int window. Timestamps accumulate modulo
+    2**64, the inverse of the encoder's wrapping int64 deltas, so any
+    int64 series round-trips. A corrupt XOR control, or tokens that run
+    past their blob's end, raise ``ValueError``."""
+    if offsets is not None:
+        buf = np.frombuffer(data, dtype=np.uint8)
+    elif isinstance(data, (bytes, bytearray, memoryview)):
+        buf = np.frombuffer(data, dtype=np.uint8)
+        offsets = [0, buf.size]
+    else:
+        buf, offsets = _arrow_blobs(data)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lo = int(offsets[0]) if offsets.size else 0
+    starts, ends = offsets[:-1] - lo, offsets[1:] - lo
+    full = np.flatnonzero(ends > starts)
+    if full.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    size = int(ends[-1])
+    padded = np.zeros((size + 7) // 8 * 8 + _PAD_BYTES, dtype=np.uint8)
+    padded[:size] = buf[lo : lo + size]
+    words = padded.view(">u8").astype(np.uint64)
+    start_bit, end_bit = starts[full] * 8, ends[full] * 8
+
+    # ---- headers: count - 1, first ts, first value bits ----
+    count, step = _dod_tokens_at(words, start_bit)
+    pos = start_bit + step
+    t0, step = _xor_tokens_at(words, pos)
+    pos += step
+    v0, step = _xor_tokens_at(words, pos)
+    pos += step
+    # each further point takes >= 2 bits: a larger count is corrupt, and
+    # would otherwise allocate its points before anything else fails
+    room = np.maximum(end_bit - start_bit - 3, 0) // 2
+    if np.any(count > room.astype(np.uint64)):
+        raise ValueError("corrupt Gorilla blob: point count exceeds the blob")
+    n = count.astype(np.int64) + 1
+    base = np.cumsum(n) - n
+    dods = np.empty(int(n.sum()), dtype=np.uint64)
+    xors = np.empty_like(dods)
+    dods[base] = 0
+    xors[base] = v0
+
+    # ---- the timestamp tokens, then the value tokens ----
+    order = np.argsort(-n, kind="stable")
+    pos, s_base, s_n = pos[order], base[order], n[order]
+    raw = padded.tobytes()
+    try:
+        _lockstep(words, raw, pos, s_base, s_n, dods, _dod_tokens_at, _walk_dods)
+        _lockstep(words, raw, pos, s_base, s_n, xors, _xor_tokens_at, _walk_xors)
+    except IndexError as err:  # a corrupt blob read past the buffer
+        raise ValueError("corrupt Gorilla blob: tokens run past its end") from err
+    if np.any(pos > end_bit[order]):
+        raise ValueError("corrupt Gorilla blob: tokens run past its end")
+
+    # ---- per-blob running sums: delta = sum of dods, ts = t0 + sum of
+    # deltas (modulo 2**64), value = running XOR from the first value ----
+    sums = np.cumsum(dods)
+    delta = sums - np.repeat(sums[base], n)
+    sums = np.cumsum(delta)
+    ts = sums + np.repeat(t0 - sums[base], n)
+    acc = np.bitwise_xor.accumulate(xors)
+    vals = acc ^ np.repeat(acc[base] ^ v0, n)
+    return ts.view(np.int64), vals.view(np.float64)

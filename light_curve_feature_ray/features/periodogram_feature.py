@@ -132,9 +132,13 @@ class PeriodogramPeaks(Feature):
         if k:
             sel = idx[:k]
             out[0 : 2 * k : 2] = 2.0 * np.pi / s.t[sel]
-            std = s.std("m")
-            if std != 0.0:
-                out[1 : 2 * k + 1 : 2] = (s.m[sel] - s.mean("m")) / std
+            # model/log power holds inf where the standard power reaches 1;
+            # its mean and std are then inf/NaN by the reference's rules,
+            # as in the batched kernel, and numpy's warnings are not errors
+            with np.errstate(invalid="ignore"):
+                std = s.std("m")
+                if std != 0.0:
+                    out[1 : 2 * k + 1 : 2] = (s.m[sel] - s.mean("m")) / std
         return out
 
 

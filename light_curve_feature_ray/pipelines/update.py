@@ -116,25 +116,29 @@ def _old_points(sel: pa.Table, config: RollupConfig, hot: set) -> pa.Table:
                 "okey": pa.array([], pa.int64()),
             }
         )
-    conv_col = sel["conv_id"].cast(pa.string())
-    slot = sel["bucket_ts"].cast(pa.int64()).to_numpy() // US_PER_MIN
-    decoded = [gorilla.decode(blob) for blob in sel["points"].to_pylist()]
-    sizes = np.array([ts.size for ts, _ in decoded], dtype=np.int64)
+    conv = pc.dictionary_encode(sel["conv_id"].cast(pa.string()).combine_chunks())
+    sizes = sel["n_points"].to_numpy().astype(np.int64)
     if sizes.max() >= (1 << _POS_BITS):
         raise ValueError(
             f"bucket with {sizes.max()} points exceeds the okey "
             f"position budget (2**{_POS_BITS})"
         )
-    ts_all = np.concatenate([ts for ts, _ in decoded])
-    m_all = np.concatenate([m for _, m in decoded])
+    # every blob in one call, split by the rows' n_points
+    ts_all, m_all = gorilla.decode(sel["points"])
+    if ts_all.size != sizes.sum():
+        raise ValueError(
+            f"1m rows count {sizes.sum()} points in n_points but their "
+            f"blobs decode to {ts_all.size}"
+        )
+    slot = sel["bucket_ts"].cast(pa.int64()).to_numpy() // US_PER_MIN
     idx = np.repeat(np.arange(sizes.size), sizes)
     # position within the bucket = running index - the bucket's first index
     pos = np.arange(ts_all.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    conv_out = conv_col.combine_chunks().take(pa.array(idx))
-    h = hash_strings(conv_out)
+    # each distinct conversation is hashed once; its points repeat the hash
+    codes = conv.indices.to_numpy().astype(np.int64)[idx]
     part = assign_parts(
-        conv_out.to_numpy(zero_copy_only=False) if hot else np.empty(0),
-        h,
+        conv.dictionary.to_numpy(zero_copy_only=False)[codes] if hot else np.empty(0),
+        hash_strings(conv.dictionary)[codes],
         ts_all,
         config,
         hot,
@@ -144,9 +148,11 @@ def _old_points(sel: pa.Table, config: RollupConfig, hot: set) -> pa.Table:
             # dictionary-encoded to match DeriveAssign's delta schema:
             # _fold_part joins both with pa.concat_tables, which requires
             # identical types
-            "conv_id": pc.dictionary_encode(conv_out),
-            "ts_us": pa.array(ts_all.astype(np.int64)),
-            "m": pa.array(m_all.astype(np.float64)),
+            "conv_id": pa.DictionaryArray.from_arrays(
+                pa.array(codes, type=pa.int32()), conv.dictionary
+            ),
+            "ts_us": pa.array(ts_all),
+            "m": pa.array(m_all),
             "part": pa.array(part, type=pa.int32()),
             "src": pa.array(np.zeros(ts_all.size, dtype=np.int8)),
             "okey": pa.array((slot[idx] << _POS_BITS) + pos),

@@ -76,6 +76,22 @@ _FOOTER_KEY = b"rollup_manifest"
 _TIMINGS = ("worker_s", "worker_cpu_s")
 
 
+def _column_options(schema: pa.Schema) -> dict[str, list[str]]:
+    """The writer's fixed rule, keyed on column type: dictionary encoding
+    on string columns only, statistics on string, integer and timestamp
+    columns only. The float features and the points blobs are nearly
+    unique per row: hashing them into dictionaries took half the write
+    and saved 1 % of the bytes, and nothing filters on their min/max."""
+    strings, ordered = [], []
+    for field in schema:
+        kind = field.type.value_type if pa.types.is_dictionary(field.type) else field.type
+        if pa.types.is_string(kind) or pa.types.is_large_string(kind):
+            strings.append(field.name)
+        elif pa.types.is_integer(kind) or pa.types.is_timestamp(kind):
+            ordered.append(field.name)
+    return {"use_dictionary": strings, "write_statistics": strings + ordered}
+
+
 def _write_partition(
     table: pa.Table,
     out_dir: str,
@@ -93,7 +109,8 @@ def _write_partition(
     The data file's schema metadata carries the manifest too, lineage
     included, less the file size, write time and worker seconds: a
     crash between the two writes leaves a file that says which deltas
-    it holds (:func:`_file_manifest`, :func:`_restore_manifest`)."""
+    it holds (:func:`_file_manifest`, :func:`_restore_manifest`). Column
+    encodings and statistics follow :func:`_column_options`."""
     manifest: dict[str, Any] = {"partition": part, "rows": table.num_rows, "lineage": lineage}
     names = table.column_names
     if "tier" in names:
@@ -120,7 +137,9 @@ def _write_partition(
     part_dir = os.path.join(out_dir, f"part={part}")
     os.makedirs(part_dir, exist_ok=True)
     tmp = os.path.join(part_dir, ".data.parquet.tmp")
-    pq.write_table(table.replace_schema_metadata(metadata), tmp)
+    pq.write_table(
+        table.replace_schema_metadata(metadata), tmp, **_column_options(table.schema)
+    )
     os.replace(tmp, os.path.join(part_dir, "data.parquet"))
     return _commit_manifest(out_dir, manifest)
 

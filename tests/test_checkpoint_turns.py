@@ -174,6 +174,78 @@ def test_job_resume_rewrites_only_missing_partition(ray_session, tmp_path):
     assert (Path(out) / "_job.json").read_text() == job
 
 
+def _assert_writer_rule(path: str) -> None:
+    """The partition writer's rule, keyed on column type: dictionary
+    encoding on string columns only, statistics on string, integer and
+    timestamp columns only."""
+    import pyarrow.parquet as pq
+
+    meta = pq.read_metadata(path)
+    schema = meta.schema.to_arrow_schema()
+    assert meta.num_row_groups > 0
+    for g in range(meta.num_row_groups):
+        for i in range(meta.num_columns):
+            col = meta.row_group(g).column(i)
+            kind = schema.field(col.path_in_schema).type
+            if pa.types.is_dictionary(kind):
+                kind = kind.value_type
+            string = pa.types.is_string(kind)
+            ordered = pa.types.is_integer(kind) or pa.types.is_timestamp(kind)
+            assert ("RLE_DICTIONARY" in col.encodings) == string, col.path_in_schema
+            assert col.is_stats_set == (string or ordered), col.path_in_schema
+
+
+def test_partition_writer_encoding_rule(ray_session, synth_dir, tmp_path):
+    """Job partitions and write_dataset_partitioned partitions follow the
+    writer's rule; a rerun into a fresh directory and a resume write
+    byte-identical files, and the generic sink reads back equal."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from light_curve_feature_ray.state.checkpoint import (
+        read_rollup_output,
+        run_rollup_job,
+        write_dataset_partitioned,
+    )
+
+    cfg = RollupConfig(features=("observation_count", "mean", "eta"), num_partitions=3)
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    run_rollup_job(synth_dir, first, cfg)
+    run_rollup_job(synth_dir, second, cfg)
+
+    def data(out, p):
+        return Path(out) / f"part={p}" / "data.parquet"
+
+    for p in range(3):
+        _assert_writer_rule(str(data(first, p)))
+        assert data(first, p).read_bytes() == data(second, p).read_bytes()
+    kinds = {str(t) for t in pq.read_schema(data(first, 0)).types}
+    assert {"string", "timestamp[us]", "int64", "binary", "double"} <= kinds
+    before = data(first, 1).read_bytes()
+    os.remove(os.path.join(first, "part=1", "_manifest.json"))
+    assert run_rollup_job(synth_dir, first, cfg)["partitions_written"] == [1]
+    assert data(first, 1).read_bytes() == before
+
+    df = pd.DataFrame(
+        {
+            "key": np.arange(300, dtype=np.int64),
+            "name": [f"doc-{i % 37}" for i in range(300)],
+            "score": np.linspace(0.0, 1.0, 300),
+            "blob": [bytes([i % 251]) * (i % 5) for i in range(300)],
+            "ts": pd.to_datetime(np.arange(300) * 1_000_000, unit="us"),
+            "flag": np.arange(300) % 3 == 0,
+        }
+    )
+    sink = str(tmp_path / "sink")
+    write_dataset_partitioned(
+        rd.from_pandas(df).repartition(3), sink, key_col="key", num_partitions=4
+    )
+    for p in range(4):
+        _assert_writer_rule(str(data(sink, p)))
+    back = read_rollup_output(sink).to_pandas().sort_values("key").reset_index(drop=True)
+    pd.testing.assert_frame_equal(back, df, check_dtype=False)
+
+
 def _canonical(table: pa.Table) -> pd.DataFrame:
     keys = ["conv_id", "tier", "bucket_ts"]
     return table.to_pandas().sort_values(keys).reset_index(drop=True)

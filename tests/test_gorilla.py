@@ -237,3 +237,115 @@ def test_single_point_size():
     # count '0', a 58-bit ts token and a 29-bit value token
     blob = _assert_reference([1_700_000_000_123_456], [57.0])
     assert len(blob) <= 12
+
+
+def _assert_batched(blobs, array=None):
+    """``decode`` of many blobs equals the reference walk of each blob,
+    concatenated; as a binary array and as a buffer with offsets."""
+    import pyarrow as pa
+
+    want = [_reference_decode(b) for b in blobs]
+    want_ts = np.concatenate([np.empty(0, np.int64)] + [w[0] for w in want])
+    want_v = np.concatenate([np.empty(0, np.float64)] + [w[1] for w in want])
+    array = pa.array(blobs, type=pa.binary()) if array is None else array
+    offsets = np.cumsum([0] + [len(b) for b in blobs])
+    for ts, v in (decode(array), decode(b"".join(blobs), offsets)):
+        np.testing.assert_array_equal(ts, want_ts)
+        np.testing.assert_array_equal(v.view(np.uint64), want_v.view(np.uint64))
+
+
+def _random_blobs(rng, nblobs, sizes=(0, 1, 2, 2, 3, 5, 17, 60)):
+    blobs = []
+    for _ in range(nblobs):
+        size = int(rng.choice(sizes))
+        steps = rng.choice([0, 1, 40, 200, 1500, 10**9, 2**62], size=size)
+        ts = 1_700_000_000_000_000 + np.cumsum(steps).astype(np.int64)
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+        values[rng.random(size) < 0.3] = float(rng.integers(1, 400))
+        blobs.append(encode(ts, values))
+    return blobs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_decode_random_mixes(seed):
+    # empty blobs among blobs of every length class, enough of them to run
+    # lockstep rounds before the longest few finish one at a time
+    rng = np.random.default_rng(seed)
+    _assert_batched(_random_blobs(rng, int(rng.integers(1, 400))))
+
+
+def test_batched_decode_every_token_class_and_wrapping():
+    rng = np.random.default_rng(23)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    blobs = []
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        steps = rng.choice([0, 1, 40, 200, 1500, 10**9, 10**17], size=n)
+        ts = np.cumsum(steps * rng.choice([1, -1], size=n)).astype(np.int64)
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        values[rng.random(n) < 0.2] = 1.5
+        blobs.append(encode(ts, values))
+        # deltas that overflow int64, and dods of exactly int64 min
+        wrap = rng.integers(lo, hi, size=int(rng.integers(2, 30)), dtype=np.int64)
+        blobs.append(encode(wrap, rng.normal(size=wrap.size)))
+        blobs.append(encode(np.array([0, lo, 0, lo], dtype=np.int64), np.zeros(4)))
+        blobs.append(encode(np.array([lo, hi, 0, lo + 1, hi - 1, -1]), np.arange(6.0)))
+        blobs.append(b"")
+    perm = rng.permutation(len(blobs))
+    _assert_batched([blobs[i] for i in perm])
+
+
+def test_batched_decode_sliced_and_chunked_arrays():
+    import pyarrow as pa
+
+    rng = np.random.default_rng(29)
+    blobs = _random_blobs(rng, 120)
+    array = pa.array(blobs, type=pa.binary())
+    sliced = array.slice(37, 50)
+    assert sliced.offset == 37
+    _assert_batched(blobs[37:87], sliced)
+    _assert_batched(blobs, pa.chunked_array([array.slice(0, 10), array.slice(10)]))
+    _assert_batched([], pa.array([], type=pa.binary()))
+
+
+def test_batched_decode_one_long_blob_among_short_ones():
+    rng = np.random.default_rng(31)
+    blobs = _random_blobs(rng, 300, sizes=(2,))
+    n = 10_000
+    ts = 1_700_000_000_000_000 + np.cumsum(rng.integers(0, 5_000_000, size=n))
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+    blobs.insert(150, encode(ts, values))
+    _assert_batched(blobs)
+
+
+def test_decode_rejects_corrupt_blobs():
+    import pyarrow as pa
+
+    def flip(blob: bytes, bit: int) -> bytes:
+        return (int.from_bytes(blob, "big") ^ (1 << (8 * len(blob) - 1 - bit))).to_bytes(
+            len(blob), "big"
+        )
+
+    # one point: count '0', ts 0 as '0', then the value's '11' XOR window
+    # from bit 2; clearing bit 3 makes it the invalid '10'
+    one = encode(np.array([0]), np.array([1.0]))
+    assert flip(one, 3)[0] >> 4 == 0b0010
+    # two points: the blob cut after its header, so its tokens run past it
+    two = encode(np.array([0, 10**15]), np.array([1.0, 3.0]))
+    many = _random_blobs(np.random.default_rng(37), 40)
+    for blob, match in ((flip(one, 3), "'11' XOR window"), (two[:3], "past its end")):
+        with pytest.raises(ValueError, match=match):
+            decode(blob)
+        with pytest.raises(ValueError, match=match):
+            decode(pa.array(many + [blob], type=pa.binary()))
+    # the last value token: its meaningful bits end in the blob's last 1
+    values = np.array([1.0, 1.0, 3.0])
+    last = encode(np.arange(3), values)
+    xor = int(values[1:].view(np.uint64)[1] ^ values[1:].view(np.uint64)[0])
+    mlen = xor.bit_length() - (xor & -xor).bit_length() + 1
+    end = 8 * len(last) - (int.from_bytes(last, "big") & -int.from_bytes(last, "big")).bit_length()
+    bad = flip(last, end + 1 - (13 + mlen) + 1)
+    # walked alone, and in a lockstep round among as many of its kind
+    for call in (lambda: decode(bad), lambda: decode(pa.array([bad] * 40, type=pa.binary()))):
+        with pytest.raises(ValueError, match="'11' XOR window"):
+            call()

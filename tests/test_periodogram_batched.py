@@ -143,3 +143,24 @@ def test_infinite_power_raises_no_warning(normalization):
         loop = grouped._loop_eval(ctx, feature, np.nan)
     for j, want in enumerate(loop):
         _assert_matches(out[:, j], want, f"column {j}")
+
+
+@pytest.mark.parametrize("normalization", ("model", "log"))
+def test_per_series_infinite_power_raises_no_warning(normalization):
+    """The per-series PeriodogramPeaks over the same inf-holding spectra:
+    no numpy RuntimeWarning either, and the same values as the batched
+    kernel."""
+    rng = np.random.default_rng(1)
+    sizes = [2] * 5 + rng.integers(3, 6, size=60).tolist()
+    t = np.concatenate([np.sort(rng.random(n)) * 10.0 for n in sizes])
+    m = rng.normal(size=t.shape[0])
+    starts = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+    ctx = SegmentContext(t, m, np.ones_like(m), starts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loop = grouped._loop_eval(ctx, Periodogram(normalization=normalization), np.nan)
+    out = batched_periodogram_peaks(
+        t, ctx.centered(), starts, ctx.std2(), normalization=normalization
+    )
+    for j, want in enumerate(loop):
+        _assert_matches(out[:, j], want, f"column {j}")

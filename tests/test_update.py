@@ -536,3 +536,54 @@ def test_unversioned_store_refused(ray_session, tmp_path):
     with pytest.raises(ValueError, match="refusing to resume"):
         run_rollup_job(str(tmp_path / "old.parquet"), out_dir, cfg)
     assert _files(out_dir) == before
+
+
+def test_fold_decode_keeps_the_tracer_shape(monkeypatch):
+    """perfbench's tracer rebinds ``codec.gorilla.decode`` by name and counts
+    ``len(out[0])`` of each call as decoded points, for its check
+    ``read.rows + decode.points == worker rows in``. A fold's replay of old
+    points must call it through the module attribute, once, and get every
+    replayed point back in ``out[0]``; a row whose ``n_points`` disagrees
+    with its blob raises."""
+    import functools
+
+    import pyarrow.compute as pc
+
+    from light_curve_feature_ray.codec import gorilla
+    from light_curve_feature_ray.pipelines import update
+    from light_curve_feature_ray.pipelines.rollup import rollup_table
+
+    tbl = synth_transcripts_table(
+        n_convs=12, mean_turns=30, hot_convs=1, hot_turns=300, seed=41
+    )
+    hot = [tbl.to_pandas().groupby("conv_id").size().idxmax()]
+    cfg = _cfg(hot_threshold=200, num_partitions=1)
+    tiers = rollup_table(tbl, cfg, hot_list=hot)
+    convs = pc.unique(tiers["conv_id"]).to_pylist()[::2] + hot
+    sel = tiers.filter(
+        pc.and_(
+            pc.is_in(tiers["conv_id"], value_set=pa.array(convs)),
+            pc.equal(tiers["tier"], "1m"),
+        )
+    )
+    calls = []
+    inner = gorilla.decode
+
+    @functools.wraps(inner)
+    def traced(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(gorilla, "decode", traced)
+    points = update._old_points(sel, cfg, set(hot))
+    assert len(calls) == 1
+    assert calls[0] == points.num_rows == pc.sum(sel["n_points"]).as_py() > 0
+
+    sizes = sel["n_points"].to_numpy().copy()
+    sizes[0] += 1
+    off = sel.set_column(
+        sel.schema.get_field_index("n_points"), "n_points", pa.array(sizes)
+    )
+    with pytest.raises(ValueError, match="n_points"):
+        update._old_points(off, cfg, set(hot))
