@@ -16,7 +16,18 @@ divisions produce ``fill_value`` exactly where ``eval_or_fill`` would.
 
 Mirrors the reference's memoized ``DataSample`` stats
 (/root/reference/src/data/data_sample.rs:10-22) — but cached per-batch
-across segments rather than per series.
+across segments rather than per series. Two cache rules keep the hot path
+lean:
+
+- the centred square ``d²`` is computed once; ``m2`` sums it, ``skew``
+  sums ``d²·d`` and ``kurtosis`` ``d²·d²``. Nothing raises to a power
+  above 2: numpy has a fast path for ``x**2`` only, and ``x**3`` on 120 k
+  float64 costs ~50× ``x*x*x``;
+- when every weight is exactly 1.0 (one ``np.all`` per eval; the rollup's
+  series have that at every tier), the weighted entries are the
+  unweighted ones, bit for bit: ``sum_w`` is ``n``, ``weighted_mean`` is
+  ``mean``, ``chi2`` is ``m2``, and the weighted line fit reuses the
+  unweighted one's sums (``x·1.0 = x``, and k ones sum to exactly k).
 """
 
 from __future__ import annotations
@@ -46,6 +57,8 @@ class SegmentContext:
         self.n = (self.ends - self.starts).astype(np.float64)
         self.nseg = starts.shape[0]
         self.seg_id = np.repeat(np.arange(self.nseg), self.ends - self.starts)
+        #: every weight exactly 1.0: the weighted stats alias the unweighted
+        self.unit_w = bool(np.all(w == 1.0))
         self._cache: dict = {}
 
     def _get(self, key, fn):
@@ -68,9 +81,12 @@ class SegmentContext:
             f"centered_{which}", lambda: x - self.mean(which)[self.seg_id]
         )
 
-    def m2(self, which="m"):
+    def centered_sq(self, which="m"):
         d = self.centered(which)
-        return self._get(f"m2_{which}", lambda: self.seg_sum(d * d))
+        return self._get(f"centered_sq_{which}", lambda: d * d)
+
+    def m2(self, which="m"):
+        return self._get(f"m2_{which}", lambda: self.seg_sum(self.centered_sq(which)))
 
     def std2(self, which="m"):
         def f():
@@ -96,19 +112,31 @@ class SegmentContext:
     # -- weighted ------------------------------------------------------------
 
     def sum_w(self):
+        if self.unit_w:
+            return self.n
         return self._get("sum_w", lambda: self.seg_sum(self.w))
 
     def weighted_mean(self):
+        if self.unit_w:
+            return self.mean()
         return self._get(
             "wmean", lambda: self.seg_sum(self.m * self.w) / self.sum_w()
         )
 
     def chi2(self):
+        if self.unit_w:
+            return self.m2()
+
         def f():
             d = self.m - self.weighted_mean()[self.seg_id]
             return self.seg_sum(self.w * d * d)
 
         return self._get("chi2", f)
+
+    def sqrt_w(self):
+        if self.unit_w:
+            return 1.0
+        return self._get("sqrt_w", lambda: np.sqrt(self.w))
 
     # -- sorted-by-value layout ---------------------------------------------
 
@@ -209,31 +237,46 @@ class SegmentContext:
 
     def line_fit(self, weighted: bool):
         """(slope, slope_sigma2, reduced_chi2) per segment; same math as
-        kernel.fit_straight_line, segmented and t-centered."""
+        kernel.fit_straight_line, segmented and t-centered. With unit
+        weights the weighted fit shares the unweighted one's sums."""
 
         def f():
-            w = self.w if weighted else np.ones_like(self.t)
-            s = self.seg_sum(w)
-            # center t per segment for numerical stability (slope invariant)
-            t0 = self.t[self.starts]
-            tc = self.t - t0[self.seg_id]
-            sx = self.seg_sum(w * tc)
-            sy = self.seg_sum(w * self.m)
-            ti = tc - (sx / s)[self.seg_id]
-            stt = self.seg_sum(w * ti * ti)
+            slope, stt, rchi2 = self._line_sums(weighted and not self.unit_w)
             with np.errstate(invalid="ignore", divide="ignore"):
-                slope = self.seg_sum(w * ti * self.m) / stt
-                mbar = sy / s
-                smm = self.seg_sum(w * (self.m - mbar[self.seg_id]) ** 2)
-                chi2 = np.maximum(smm - slope * slope * stt, 0.0)
-                nn = self.n
-                rchi2 = chi2 / (nn - 2.0)
                 sigma2 = 1.0 / stt
                 if not weighted:
                     sigma2 = sigma2 * rchi2
             return slope, sigma2, rchi2
 
         return self._get(f"line_fit_{weighted}", f)
+
+    def _line_sums(self, weighted: bool):
+        """(slope, stt, reduced chi2) of the least-squares line per
+        segment, with weights ``w`` or all ones."""
+
+        def f():
+            # center t per segment for numerical stability (slope invariant)
+            t0 = self.t[self.starts]
+            tc = self.t - t0[self.seg_id]
+            if weighted:
+                w = self.w
+                ti = tc - (self.seg_sum(w * tc) / self.sum_w())[self.seg_id]
+                stt = self.seg_sum(w * ti * ti)
+                sty = self.seg_sum(w * ti * self.m)
+                dm = self.m - self.weighted_mean()[self.seg_id]
+                smm = self.seg_sum(w * dm**2)
+            else:
+                ti = tc - (self.seg_sum(tc) / self.n)[self.seg_id]
+                stt = self.seg_sum(ti * ti)
+                sty = self.seg_sum(ti * self.m)
+                smm = self.m2()
+            with np.errstate(invalid="ignore", divide="ignore"):
+                slope = sty / stt
+                chi2 = np.maximum(smm - slope * slope * stt, 0.0)
+                rchi2 = chi2 / (self.n - 2.0)
+            return slope, stt, rchi2
+
+        return self._get(f"line_sums_{weighted}", f)
 
 
 def _fill(values, ok, fill_value):
@@ -414,18 +457,17 @@ def _beyond(ctx, f, fv):
 
 @fast("skew")
 def _skew(ctx, f, fv):
-    d = ctx.centered()
-    m3 = ctx.seg_sum(d**3)
+    m3 = ctx.seg_sum(ctx.centered_sq() * ctx.centered())
     n = ctx.n
     with np.errstate(invalid="ignore", divide="ignore"):
-        v = n / ((n - 1.0) * (n - 2.0)) * m3 / ctx.std() ** 3
+        v = n / ((n - 1.0) * (n - 2.0)) * m3 / (ctx.std2() * ctx.std())
     return [_fill(v, _ok_min_n(ctx, f), fv)]
 
 
 @fast("kurtosis")
 def _kurtosis(ctx, f, fv):
-    d = ctx.centered()
-    m4 = ctx.seg_sum(d**4)
+    d2 = ctx.centered_sq()
+    m4 = ctx.seg_sum(d2 * d2)
     n = ctx.n
     std2 = ctx.std2()
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -453,7 +495,8 @@ def _eta_e(ctx, f, fv):
     total = ctx.pair_sum(sq)
     span = ctx.t[ctx.ends - 1] - ctx.t[ctx.starts]
     with np.errstate(invalid="ignore", divide="ignore"):
-        v = span * span * total / (ctx.std2() * (ctx.n - 1.0) ** 3)
+        n1 = ctx.n - 1.0
+        v = span * span * total / (ctx.std2() * (n1 * n1 * n1))
     return [_fill(v, _ok_min_n(ctx, f), fv)]
 
 
@@ -524,7 +567,7 @@ def _excess_var(ctx, f, fv):
 
 @fast("stetson_k")
 def _stetson(ctx, f, fv):
-    d = np.abs(ctx.m - ctx.weighted_mean()[ctx.seg_id]) * np.sqrt(ctx.w)
+    d = np.abs(ctx.m - ctx.weighted_mean()[ctx.seg_id]) * ctx.sqrt_w()
     num = ctx.seg_sum(d)
     with np.errstate(invalid="ignore", divide="ignore"):
         v = num / np.sqrt(ctx.n * ctx.chi2())
@@ -533,7 +576,7 @@ def _stetson(ctx, f, fv):
 
 @fast("roms")
 def _roms(ctx, f, fv):
-    terms = np.abs(ctx.m - ctx.median()[ctx.seg_id]) * np.sqrt(ctx.w)
+    terms = np.abs(ctx.m - ctx.median()[ctx.seg_id]) * ctx.sqrt_w()
     terms = np.where(np.isfinite(terms), terms, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         v = ctx.seg_sum(terms) / (ctx.n - 1.0)

@@ -198,9 +198,9 @@ def _stage(prev: dict, batch: pa.Table, worker: RollupWorker) -> dict:
     (``prev``) plus this fold's. ``rows_in`` adds the delta's turns only
     (the replayed old points were counted when they were ingested);
     ``dups_dropped`` adds the delta's duplicates (old points never collide
-    with delta turn_idx); ``gap_filled`` and the worker seconds add this
-    recompute's work, so a recomputed conversation's fills count once per
-    write."""
+    with delta turn_idx); ``gap_filled``, the ``nan_cells_<tier>`` and the
+    worker and eval seconds add this recompute's work, so a recomputed
+    conversation's fills and NaN cells count once per write."""
     stage = dict(worker.last_stats)
     stage["rows_in"] = int(pc.sum(pc.equal(batch["src"], 1)).as_py() or 0)
     return {k: prev.get(k, 0) + v for k, v in stage.items()}

@@ -592,7 +592,10 @@ class RollupWorker:
 
     After each call ``last_stats`` holds that call's stage record: rows
     in, duplicates dropped, gap-filled points (of the bin series that
-    feed a requested tier), and the call's wall and CPU seconds.
+    feed a requested tier), per requested tier the NaN feature cells
+    (``nan_cells_<tier>``) and the feature-eval seconds (``eval_s_<tier>``),
+    and the call's wall and CPU seconds. The keys are flat, so a fold's
+    record adds onto the previous one (``pipelines.update._stage``).
     Partition writers put it in the manifest (state/checkpoint.py).
     """
 
@@ -627,7 +630,7 @@ class RollupWorker:
             "conv_id": pa.DictionaryArray.from_arrays(
                 pa.array(codes, type=pa.int32()), dictionary
             ).cast(pa.string()),
-            "tier": pa.array(np.repeat(tier, codes.shape[0]), type=pa.string()),
+            "tier": pa.repeat(pa.scalar(tier, pa.string()), codes.shape[0]),
             "bucket_ts": pa.array(bucket_us, type=pa.timestamp("us")),
             "n_points": pa.array(n_pts, type=pa.int64()),
         }
@@ -692,7 +695,12 @@ class RollupWorker:
             if tier in todo:
                 todo.discard(tier)
                 points = None
+                t_eval = time.perf_counter()
                 feats = self.suite.eval(t, m, w, starts)
+                stats[f"eval_s_{tier}"] = time.perf_counter() - t_eval
+                stats[f"nan_cells_{tier}"] = sum(
+                    int(np.count_nonzero(np.isnan(col))) for col in feats.values()
+                )
                 if cfg.store_points:
                     points = gorilla.encode_segments_arrow(ts_us, m, starts)
                 tables.append(

@@ -50,7 +50,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..stages.exchange import exchange
-from ..stages.rollup import RollupConfig, detect_hot_convs
+from ..stages.rollup import TIERS, RollupConfig, detect_hot_convs
 
 
 def _manifest_path(out_dir: str, part: int) -> str:
@@ -73,7 +73,7 @@ def completed_partitions(out_dir: str) -> set[int]:
 _FOOTER_KEY = b"rollup_manifest"
 #: stage-record fields that differ between two writes of the same rows;
 #: they stay out of the data file so a retry writes identical bytes
-_TIMINGS = ("worker_s", "worker_cpu_s")
+_TIMINGS = ("worker_s", "worker_cpu_s") + tuple(f"eval_s_{tier}" for tier in TIERS)
 
 
 def _column_options(schema: pa.Schema) -> dict[str, list[str]]:

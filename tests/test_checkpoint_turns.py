@@ -142,6 +142,37 @@ def test_job_matches_rollup_table(ray_session, tmp_path):
     assert report["part_rows_skew"] >= 1.0
 
 
+def test_job_report_counts_nan_cells_per_tier(ray_session, tmp_path):
+    """``job_report`` gives, per tier, the NaN feature cells the store
+    holds and the feature-eval seconds; the seconds stay out of the data
+    files, so a rerun into a new directory writes identical bytes."""
+    from light_curve_feature_ray.state.checkpoint import (
+        job_report,
+        read_rollup_output,
+        run_rollup_job,
+    )
+
+    path, _, _ = _interleaved_redelivered(tmp_path)
+    cfg = RollupConfig(
+        features=("observation_count", "skew", "linear_fit"),
+        num_partitions=3,
+        hot_threshold=400,
+    )
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    run_rollup_job(path, first, cfg)
+    run_rollup_job(path, second, cfg)
+    stage = job_report(first)["stage"]
+    store = read_rollup_output(first).to_pandas()
+    feats = store[[c for c in store.columns if c.startswith(("skew", "linear_fit"))]]
+    for tier in cfg.tiers:
+        nan = int(feats[store["tier"] == tier].isna().to_numpy().sum())
+        assert stage[f"nan_cells_{tier}"] == nan > 0, tier
+        assert stage[f"eval_s_{tier}"] > 0, tier
+    for p in range(3):
+        data = Path("part=%d" % p) / "data.parquet"
+        assert (Path(first) / data).read_bytes() == (Path(second) / data).read_bytes()
+
+
 def test_job_resume_rewrites_only_missing_partition(ray_session, tmp_path):
     """Deleting one manifest makes a rerun rewrite exactly that partition,
     byte-identical, and leave every other file untouched."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from light_curve_feature_ray.features import REGISTRY, FeatureExtractor
-from light_curve_feature_ray.features.grouped import GroupedSuite, _loop_eval
+from light_curve_feature_ray.features.grouped import _FAST, GroupedSuite, _loop_eval
 from light_curve_feature_ray.features.grouped import SegmentContext
 
 # default-constructible features (meta-features excluded; covered elsewhere)
@@ -14,6 +14,28 @@ SIMPLE_KINDS = sorted(
     for k, cls in REGISTRY.items()
     if k not in ("bins", "transformed", "periodogram", "_periodogram_peaks")
 )
+
+
+def _weights(w, which):
+    """``make_segments``' uniform(0.5, 2) weights ``w``; all exactly 1.0
+    (the rollup's input, where the weighted stats alias the unweighted
+    ones); or ones with a single 2.0."""
+    if which == "uniform":
+        return w
+    w = np.ones_like(w)
+    if which == "one_two":
+        w[w.shape[0] // 2] = 2.0
+    return w
+
+
+# every kind with uniform weights (ids: the kind alone), and every
+# vectorized kind on both sides of the unit-weight test
+WEIGHT_CASES = [pytest.param(k, "uniform", id=k) for k in SIMPLE_KINDS] + [
+    pytest.param(k, which, id=f"{k}-{which}")
+    for which in ("ones", "one_two")
+    for k in SIMPLE_KINDS
+    if k in _FAST
+]
 
 
 def make_segments(rng, nseg=40, with_edge_cases=True):
@@ -43,10 +65,11 @@ def make_segments(rng, nseg=40, with_edge_cases=True):
     )
 
 
-@pytest.mark.parametrize("kind", SIMPLE_KINDS)
-def test_fast_matches_loop(kind):
+@pytest.mark.parametrize("kind,weights", WEIGHT_CASES)
+def test_fast_matches_loop(kind, weights):
     rng = np.random.default_rng(hash(kind) % 2**32)
     t, m, w, starts = make_segments(rng)
+    w = _weights(w, weights)
     feature = REGISTRY[kind]()
     extractor = FeatureExtractor([feature])
     fast = GroupedSuite(extractor).eval(t, m, w, starts)
@@ -63,6 +86,21 @@ def test_fast_matches_loop(kind):
             atol=1e-10,
             err_msg=f"{kind}:{name}",
         )
+
+
+def test_unit_weights_alias_unweighted():
+    """With w exactly 1.0 the weighted features are the unweighted ones,
+    bit for bit; one weight off 1.0 takes the weighted path."""
+    rng = np.random.default_rng(5)
+    t, m, w, starts = make_segments(rng, nseg=60)
+    extractor = FeatureExtractor(
+        [REGISTRY[k]() for k in ("mean", "weighted_mean", "linear_trend", "linear_fit")]
+    )
+    out = GroupedSuite(extractor).eval(t, m, np.ones_like(m), starts)
+    np.testing.assert_array_equal(out["weighted_mean"], out["mean"])
+    np.testing.assert_array_equal(out["linear_fit_slope"], out["linear_trend"])
+    assert SegmentContext(t, m, np.ones_like(m), starts).unit_w
+    assert not SegmentContext(t, m, _weights(w, "one_two"), starts).unit_w
 
 
 def test_full_suite_together():

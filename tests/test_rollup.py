@@ -337,6 +337,51 @@ def test_gap_filled_counts_only_fills_a_tier_reads():
     assert out.filter(pc.equal(out["tier"], "1m")).equals(out_1m)
 
 
+@pytest.mark.parametrize("gap_fill", ["linear", "prev"])
+def test_feature_eval_sees_unit_weights_once_per_tier(monkeypatch, gap_fill):
+    """Every tier's series reaches ``GroupedSuite.eval`` with weights
+    exactly 1.0 (the raw points, the Bins-semantics bins and their
+    gap-fills), which lets the suite alias its weighted stats; and the
+    suite runs once per requested tier. The stage record counts each
+    tier's NaN feature cells and eval seconds."""
+    from light_curve_feature_ray.features.grouped import GroupedSuite
+    from light_curve_feature_ray.stages.rollup import DeriveAssign, RollupWorker
+
+    tbl = synth_transcripts_table(
+        n_convs=12, mean_turns=60, hot_convs=1, hot_turns=400, seed=21
+    )
+    cfg = RollupConfig(
+        features=("observation_count", "weighted_mean", "skew", "linear_fit"),
+        gap_fill=gap_fill,
+        num_partitions=1,
+        hot_threshold=300,
+        store_points=False,
+    )
+    counts = tbl.group_by("conv_id").aggregate([("conv_id", "count")])
+    hot = counts.filter(pc.greater_equal(counts["conv_id_count"], 300))["conv_id"]
+    assert len(hot) == 1
+    calls = []
+    inner = GroupedSuite.eval
+
+    def spy(self, t, m, w, starts):
+        calls.append((np.asarray(w).copy(), len(starts)))
+        return inner(self, t, m, w, starts)
+
+    monkeypatch.setattr(GroupedSuite, "eval", spy)
+    worker = RollupWorker(cfg, hot_list=hot.to_pylist())
+    out = worker(DeriveAssign(cfg, hot_list=hot.to_pylist())(tbl))
+    tier_rows = [out.filter(pc.equal(out["tier"], tier)) for tier in cfg.tiers]
+    assert [n for _, n in calls] == [t.num_rows for t in tier_rows]
+    for w, _ in calls:
+        assert w.dtype == np.float64 and np.all(w == 1.0)
+    stats = worker.last_stats
+    assert stats["gap_filled"] > 0
+    for tier, rows in zip(cfg.tiers, tier_rows):
+        feats = rows.select(worker.feature_names).to_pandas().to_numpy()
+        assert stats[f"nan_cells_{tier}"] == np.isnan(feats).sum() > 0
+        assert stats[f"eval_s_{tier}"] > 0
+
+
 def test_gap_fill_exact_values():
     codes = np.zeros(3, dtype=np.int64)
     slots = np.array([10, 11, 15], dtype=np.int64)
