@@ -78,9 +78,10 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
 
     sf = sf_of(sf_dir)
     path = bench_input(sf)
-    # 4 blocks/cpu: each block is one derive + pack map task and one split
-    # task of the routed exchange; the reduce side runs one task per
-    # partition (P below)
+    # the headline reads the path's input units (row-group ranges), one
+    # map task each; the Dataset legs read 4 blocks/cpu, one map task per
+    # block. Either map task derives, packs and splits its rows for the
+    # routed exchange; the reduce side runs one task per partition (P below)
     num_blocks = 4 * num_cpus
     # warm the page cache so we measure compute + shuffle, not first read
     turns = read_transcripts(path).count()
@@ -96,12 +97,10 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
 
     # hot-conv set: a slowly-changing data-distribution property, computed
     # untimed here (production refreshes it periodically, not per job)
+    from light_curve_feature_ray.pipelines.rollup import input_units
     from light_curve_feature_ray.stages.rollup import detect_hot_convs
 
-    hot_list = detect_hot_convs(
-        rd.read_parquet(path, columns=["conv_id"], override_num_blocks=num_blocks),
-        20_000,
-    )
+    hot_list = detect_hot_convs(input_units(path), 20_000)
 
     timings: dict[str, float] = {}
 
@@ -120,11 +119,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     headline = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
-        out = rollup_dataset(
-            read_transcripts(path, num_blocks=num_blocks),
-            cfg,
-            hot_list=hot_list,
-        )
+        out = rollup_dataset(path, cfg, hot_list=hot_list)
         rows = out.count()
         headline = min(headline, time.perf_counter() - t0)
     timings["rollup_full"] = round(headline, 3)

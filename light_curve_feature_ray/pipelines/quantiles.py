@@ -1184,84 +1184,3 @@ def grouped_approx_quantiles(
         binned = binned.union(rd.from_pandas(rows))
     return binned
 
-
-def robust_scale(
-    ds,
-    *,
-    key_col: str = "event_type",
-    value_col: str = "value",
-    id_cols: tuple = ("event_id",),
-    num_partitions: int | None = None,
-    max_key_broadcast: int = 5_000_000,
-):
-    """Per-key robust scaling of a numeric column — sklearn's
-    RobustScaler as a relational operator: each row gets
-    ``scaled = (value - median_k) / IQR_k`` with median/IQR from the
-    key's own quantile_cont(0.25/0.5/0.75) (bit-parity with DuckDB via
-    :func:`grouped_quantile_cont` — the interpolation rule CLAUDE.md
-    pins).  EVERY input row emits: rows with a NULL/unseen key, a
-    NULL/NaN value, or a zero-IQR key get NULL (mirror with LEFT JOIN +
-    CASE).  Keys whose values are all NULL/NaN have no stats row and
-    scale to NULL (the grouped-quantile drop rule).
-
-    Returns (*id_cols, key, scaled).
-
-    Scale shape: one grouped-quantile pass (ONE key-hash shuffle of the
-    data — inherent to exact order statistics), then the O(keys) stats
-    table is broadcast ONCE via ``ray.put`` (loud ``max_key_broadcast``
-    bound) and the scaling pass is one streaming vectorized left join
-    per block — the data is not shuffled a second time.
-    """
-    import polars as pl
-
-    import ray
-
-    stats_ds = grouped_quantile_cont(
-        ds, key_col, value_col, (0.25, 0.5, 0.75), num_partitions
-    )
-    stats_tbl = pa.concat_tables(
-        ray.get(stats_ds.to_arrow_refs()), promote_options="default"
-    )
-    if stats_tbl.num_rows > 3 * max_key_broadcast:
-        raise ValueError(
-            f"{stats_tbl.num_rows // 3} distinct keys > "
-            f"max_key_broadcast={max_key_broadcast}; hash-partition and "
-            "join instead"
-        )
-    sp = (
-        pl.from_arrow(stats_tbl)
-        .with_columns(pl.col(key_col).cast(pl.String).alias("__rs_key"))
-        .pivot(on="q", index="__rs_key", values="value")
-    )
-    med = sp["0.5"].to_numpy()
-    iqr = sp["0.75"].to_numpy() - sp["0.25"].to_numpy()
-    stats_map = pl.DataFrame(
-        {
-            "__rs_key": sp["__rs_key"],
-            "__rs_med": med,
-            "__rs_iqr": iqr,
-        }
-    )
-    map_ref = ray.put(stats_map)
-
-    def scale(batch: pa.Table) -> pa.Table:
-        sm = ray.get(map_ref)
-        k = pl.DataFrame(
-            {"__rs_key": pl.from_arrow(batch[key_col]).cast(pl.String)}
-        )
-        j = k.join(sm, on="__rs_key", how="left", maintain_order="left")
-        v = batch[value_col].cast(pa.float64()).to_numpy(
-            zero_copy_only=False
-        )
-        m = j["__rs_med"].to_numpy()
-        w = j["__rs_iqr"].to_numpy()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scaled = np.where(
-                np.isnan(v) | np.isnan(m) | (w == 0), np.nan, (v - m) / w
-            )
-        out = {c: batch[c] for c in id_cols}
-        out[key_col] = batch[key_col]
-        out["scaled"] = pa.array(scaled)
-        return pa.table(out)
-
-    return ds.map_batches(scale, batch_format="pyarrow", batch_size=None)

@@ -1,20 +1,22 @@
 """End-to-end rollup pipelines.
 
-Both production entry points run one derive + pack body
-(:func:`_derive_pack`: ``DeriveAssign`` then ``pack_derived``) → ONE
-routed exchange (stages/exchange.py) → :class:`RollupWorker` per
-partition, and both end in the same reduce task (:func:`_rollup_part`):
+Both production entry points run one shape on plain Ray tasks: one map
+task per map input — an input unit (:func:`input_units`: row-group ranges
+of the input files, from parquet metadata) or a non-empty block of a
+Dataset — reads or converts its rows, derives and packs them
+(:func:`_derive_pack`: ``DeriveAssign`` then ``pack_derived``) and splits
+them by partition; ONE routed exchange (stages/exchange.py) then hands
+each partition's pieces to one reduce task (:func:`_rollup_part`) that
+runs :class:`RollupWorker`. No Ray Data operator runs between the input
+and the reduce (:func:`rollup_units`).
 
-- ``rollup_dataset(ds)`` runs that body as its one Ray Data map after
-  the read, so the wide ``text`` column never enters the object store;
-  each packed block goes to a split task. It executes when called and
-  returns a Dataset over the reduce outputs. It has no hooks.
-- ``run_rollup_job`` (state/checkpoint.py) runs on plain Ray tasks over
-  :func:`input_units` (row-group ranges of the input files, from parquet
-  metadata): one map task per unit reads, derives, packs and splits
-  (:func:`rollup_units`); the job adds its bookkeeping (lineage, the
-  resume's ``skip_parts``, recorded hot set) and the partition writer
-  as the reduce task's ``sink``.
+- ``rollup_dataset(source)`` takes a parquet path (its input units) or a
+  Dataset (its blocks). It executes when called and returns a Dataset
+  over the reduce outputs. It has no hooks.
+- ``run_rollup_job`` (state/checkpoint.py) runs on the input units of a
+  path and adds its bookkeeping (lineage, the resume's ``skip_parts``,
+  recorded hot set) and the partition writer as the reduce task's
+  ``sink``.
 
 ``rollup_table`` is the in-process reference (no Ray) that the parity
 tests compare against.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import pyarrow as pa
@@ -33,13 +34,15 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.exchange import exchange, route, split_by_part
+from ..stages.exchange import dataset_blocks, route, split_by_part
 from ..stages.rollup import (
     ROWS_PER_BLOCK,
     DeriveAssign,
+    InputUnit,
     RollupConfig,
     RollupWorker,
     detect_hot_convs,
+    input_rows,
     pack_derived,
     unpack_packed,
 )
@@ -66,7 +69,7 @@ def read_transcripts(
     """Prune at the read: the rollup needs only 4 of the 6 input columns.
 
     ``num_blocks`` sets the block count; Ray otherwise makes one or more
-    blocks per file. Every block is one split task of the exchange."""
+    blocks per file. Every block is one map task of the rollup."""
     columns = INPUT_COLUMNS if for_rollup else None
     kwargs = {}
     if num_blocks is not None:
@@ -80,20 +83,6 @@ def parquet_files(path: str) -> list[str]:
     import pyarrow.dataset as pads
 
     return sorted(pads.dataset(path, format="parquet").files)
-
-
-@dataclass(frozen=True)
-class InputUnit:
-    """A range of one parquet file's row groups: the input of one map
-    task of ``run_rollup_job``."""
-
-    path: str
-    row_groups: tuple[int, ...]
-    rows: int
-
-    def read(self, columns: list[str]) -> pa.Table:
-        with pq.ParquetFile(self.path) as f:
-            return f.read_row_groups(list(self.row_groups), columns=columns)
 
 
 def input_units(path: str) -> list[InputUnit]:
@@ -155,15 +144,15 @@ def _cached_worker(key: str, config: RollupConfig, hot) -> RollupWorker:
 
 
 def _derive_pack(batch: pa.Table, config: RollupConfig, hot) -> pa.Table:
-    """Input rows → derived, packed rows: the map side of both entry
-    points (:func:`rollup_dataset`'s Ray Data map and :func:`_map_unit`)."""
+    """Input rows → derived, packed rows: the body of :func:`_map_unit`."""
     return pack_derived(DeriveAssign(config, hot_list=_resolve_hot(hot))(batch))
 
 
 @ray.remote
-def _map_unit(unit: InputUnit, config: RollupConfig, hot, skip: list) -> list:
-    """One input unit → its derived, packed rows split by ``part``."""
-    packed = _derive_pack(unit.read(INPUT_COLUMNS), config, hot)
+def _map_unit(source, config: RollupConfig, hot, skip: list) -> list:
+    """One map input (an input unit, or a Dataset block) → its derived,
+    packed rows split by ``part``."""
+    packed = _derive_pack(input_rows(source, INPUT_COLUMNS), config, hot)
     return split_by_part(packed, config.num_partitions, skip)
 
 
@@ -186,16 +175,18 @@ def _reduce(routed: dict[int, list], config: RollupConfig, hot, sink) -> list:
 
 
 def rollup_units(
-    units: Sequence[InputUnit],
+    inputs: Iterable,
     config: RollupConfig,
     *,
     hot_list=(),
     skip_parts: Iterable[int] = (),
     sink: Callable[[pa.Table, int, dict], pa.Table] | None = None,
 ) -> list:
-    """The rollup over input units on plain Ray tasks, for a config with
-    ``num_partitions`` set: one map task per unit, one reduce task per
-    partition that receives rows and is not in ``skip_parts`` (a
+    """The rollup over map inputs on plain Ray tasks, for a config with
+    ``num_partitions`` set. ``inputs`` holds input units and/or Dataset
+    block refs (``stages.exchange.dataset_blocks``); one map task
+    is launched per input as the iterable yields it. One reduce task runs
+    per partition that receives rows and is not in ``skip_parts`` (a
     resume's completed partitions: their rows are dropped in the split).
     Returns the refs of the reduce outputs: tier rows, or, with ``sink``
     (a picklable ``(tier_rows, part, stage_record) -> pa.Table`` run in
@@ -205,50 +196,50 @@ def rollup_units(
     hot = _broadcast_hot(hot_list)
     skip = sorted(skip_parts)
     map_unit = _map_unit.options(num_returns=config.num_partitions + 1)
-    routed = route([map_unit.remote(unit, config, hot, skip) for unit in units])
+    routed = route([map_unit.remote(x, config, hot, skip) for x in inputs])
     return _reduce(routed, config, hot, sink)
 
 
 def rollup_dataset(
-    ds,
+    source,
     config: RollupConfig | None = None,
     *,
     hot_list=None,
 ):
-    """Run the rollup over ``ds`` and return a Dataset of tier rows. The
-    pipeline executes when this is called; it is not lazy.
+    """Run the rollup over ``source`` and return a Dataset of tier rows.
+    The pipeline executes when this is called; it is not lazy.
 
-    Ray Data runs the read and one map, :func:`_derive_pack` (the body
-    :func:`_map_unit` runs too), so only packed rows (one list-packed row
-    per (block, part, conv run)) enter the object store. Each packed
-    block then goes to a split task of the one routed exchange
-    (stages/exchange.py), and one reduce task per partition unpacks its
-    pieces and runs the worker, which sorts and dedups: output is
-    bit-identical to the in-process :func:`rollup_table`
+    ``source`` is a parquet path (a file or a directory) or a Dataset.
+    A path runs one map task per input unit, which reads its 4 columns
+    itself, so no input row enters the object store. A Dataset runs one
+    map task per non-empty block, as the block is produced; its blocks
+    do enter the object store (on a 4-column read, ``text`` is most of
+    their bytes). Either way the map task derives, packs and splits its
+    rows (:func:`rollup_units`), and one reduce task per partition
+    unpacks its pieces and runs the worker, which sorts and dedups:
+    output is bit-identical to the in-process :func:`rollup_table`
     (tests/test_parallelism_invariance.py).
 
-    The hot set is ``hot_list`` when given, else detected on ``ds`` when
-    ``config.hot_threshold`` is set.
+    An unset ``config.num_partitions`` resolves from the units' row
+    counts (parquet metadata) for a path, and from ``ds.count()`` for a
+    Dataset: that executes a transformed Dataset's lineage once just to
+    count, so pass an explicit ``num_partitions`` (or a materialized
+    Dataset) in that case. The hot set is ``hot_list`` when given, else
+    detected on ``source`` when ``config.hot_threshold`` is set.
     """
     config = config or RollupConfig()
+    is_path = isinstance(source, str)
+    if is_path:
+        source = input_units(source)
     # auto partition count resolves BEFORE any worker state keys on
-    # config.to_dict(). ds.count() is metadata-only for a fresh parquet
-    # read; for an already-transformed dataset it executes the upstream
-    # lineage once just to count — pass an explicit num_partitions (or a
-    # pre-materialized dataset) in that case.
-    config = config.resolved(ds.count()) if config.num_partitions is None else config
+    # config.to_dict()
+    if config.num_partitions is None:
+        rows = sum(unit.rows for unit in source) if is_path else source.count()
+        config = config.resolved(rows)
     if hot_list is None and config.hot_threshold is not None:
-        hot_list = detect_hot_convs(ds, config.hot_threshold)
-    hot = _broadcast_hot(hot_list)
-    packed = ds.map_batches(
-        _derive_pack,
-        fn_kwargs={"config": config, "hot": hot},
-        batch_format="pyarrow",
-        batch_size=None,  # whole blocks; the default 1024-row batches add
-        zero_copy_batch=True,  # ~100x task overhead on wide scans
-    )
-    routed = exchange(packed, config.num_partitions)
-    return rd.from_arrow_refs(_reduce(routed, config, hot, None))
+        hot_list = detect_hot_convs(source, config.hot_threshold)
+    inputs = source if is_path else dataset_blocks(source)
+    return rd.from_arrow_refs(rollup_units(inputs, config, hot_list=hot_list))
 
 
 def rollup_table(

@@ -80,13 +80,6 @@ def _dedup_sort_partition(batch: pa.Table) -> pa.Table:
     return taken.drop_columns(["part"]) if "part" in batch.column_names else taken
 
 
-def add_partition_column(batch: pa.Table, num_partitions: int) -> pa.Table:
-    part = (
-        hash_strings(batch["conv_id"]) % np.uint64(num_partitions)
-    ).astype(np.int32)
-    return batch.append_column("part", pa.array(part, type=pa.int32()))
-
-
 def _pack_parcels(batch: pa.Table, num_partitions: int) -> pa.Table:
     """Map side: block-local dedup (combiner), group rows by destination
     partition, emit one compressed IPC parcel per (block, part)."""

@@ -1,10 +1,15 @@
 """The one exchange: route table rows to reduce tasks by an int32 ``part``
 column, with plain Ray tasks and no sort.
 
-A map-side task ends in :func:`split_by_part`, which it returns with
-``num_returns=P + 1``: P tables, the rows of each part, and last the list
-of their row counts. The driver fetches only the counts (:func:`route`)
-and hands each part's non-empty pieces, in block order, to one reduce task
+Every map-side step runs one plain Ray task per **map input**: an input
+unit (a row-group range of a parquet file, ``stages.rollup.InputUnit``)
+or a non-empty block of a Dataset (:func:`dataset_blocks`, each task
+launched as its block is produced). The task turns its input into an Arrow
+table, runs the step's body, and ends in :func:`split_by_part`, which it
+returns with ``num_returns=P + 1``: P tables, the rows of each part, and
+last the list of their row counts. No Ray Data operator runs between the
+input and the reduce. The driver fetches only the counts (:func:`route`)
+and hands each part's non-empty pieces, in input order, to one reduce task
 that concatenates them. A partition's output depends only on the rows
 that carry its ``part`` (the rollup worker sorts and dedups them), never on
 block boundaries or arrival order, so no sort or merge is needed; this is
@@ -16,7 +21,7 @@ neither moved nor reduced.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -39,13 +44,8 @@ def split_by_part(table: pa.Table, num_parts: int, skip: Iterable[int] = ()) -> 
     return pieces + [counts.tolist()]
 
 
-@ray.remote
-def _split(table: pa.Table, num_parts: int, skip: list) -> list:
-    return split_by_part(table, num_parts, skip)
-
-
 def route(outputs: Sequence[Sequence]) -> dict[int, list]:
-    """Per part with rows, the refs of its non-empty pieces in block
+    """Per part with rows, the refs of its non-empty pieces in input
     order, from the ``P + 1`` return refs of each map-side task."""
     counts = ray.get([out[-1] for out in outputs])
     routed: dict[int, list] = {}
@@ -55,17 +55,10 @@ def route(outputs: Sequence[Sequence]) -> dict[int, list]:
     return dict(sorted(routed.items()))
 
 
-def exchange(ds, num_parts: int, skip: Iterable[int] = ()) -> dict[int, list]:
-    """Execute ``ds`` (blocks of Arrow tables with a ``part`` column) and
-    route its rows by part: one split task per non-empty block, launched
-    as the block is produced, then :func:`route`."""
-    skip = sorted(skip)
-    split = _split.options(num_returns=num_parts + 1)
-    return route(
-        [
-            split.remote(block, num_parts, skip)
-            for bundle in ds.iter_internal_ref_bundles()
-            for block, meta in bundle.blocks
-            if meta.num_rows != 0
-        ]
-    )
+def dataset_blocks(ds) -> Iterator:
+    """The refs of ``ds``'s non-empty blocks, each yielded as soon as it
+    is produced: the map inputs of a Dataset. Executes ``ds``."""
+    for bundle in ds.iter_internal_ref_bundles():
+        for block, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                yield block

@@ -44,18 +44,19 @@ once partitioned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 
 from ..codec import gorilla
 from ..features.extractor import FeatureExtractor
 from ..features.grouped import GroupedSuite
-from .exchange import route, split_by_part
+from .exchange import dataset_blocks, route, split_by_part
 
 US_PER_MIN = 60_000_000
 MIN_PER_DAY = 1440  # salt windows are whole days
@@ -217,6 +218,21 @@ def auto_num_partitions(
 ROWS_PER_BLOCK = 250_000
 
 
+@dataclass(frozen=True)
+class InputUnit:
+    """A range of one parquet file's row groups: the input of one map
+    task of the rollup or its hot pre-pass (``pipelines.rollup.input_units``
+    makes them from parquet metadata)."""
+
+    path: str
+    row_groups: tuple[int, ...]
+    rows: int
+
+    def read(self, columns: list[str] | None) -> pa.Table:
+        with pq.ParquetFile(self.path) as f:
+            return f.read_row_groups(list(self.row_groups), columns=columns)
+
+
 # ---------------------------------------------------------------------------
 # hashing (deterministic across processes; vectorized)
 # ---------------------------------------------------------------------------
@@ -270,7 +286,7 @@ MAX_TURN_IDX = 2**31
 
 
 class DeriveAssign:
-    """Stateless-per-batch map_batches callable: derive (t, m, w) and assign
+    """Stateless per-table callable: derive (t, m, w) and assign
     the (salted) partition key. The hot-conv list is broadcast once via
     ``ray.put`` and resolved per worker (pipelines/rollup.py). Raises
     ``ValueError`` for a ``turn_idx`` outside [0, 2**31): every rollup,
@@ -432,11 +448,23 @@ def _partial_counts(batch: pa.Table) -> pa.Table:
     )
 
 
+def input_rows(source, columns: list[str] | None = None) -> pa.Table:
+    """A map input as one Arrow table of ``columns`` (all when None): an
+    :class:`InputUnit` reads them from its row groups, a Dataset block
+    (Arrow or pandas) converts."""
+    if isinstance(source, InputUnit):
+        return source.read(columns)
+    from ray.data.block import BlockAccessor  # only a block's task needs Ray Data
+
+    table = BlockAccessor.for_block(source).to_arrow()
+    return table if columns is None else table.select(columns)
+
+
 @ray.remote(num_returns=2)
-def _count_unit(unit) -> tuple[pa.Table, int]:
-    """An input unit's (conv_id, cnt) partial rows and their number; it
-    reads the ``conv_id`` column only."""
-    partials = _partial_counts(unit.read(["conv_id"]))
+def _count_unit(source) -> tuple[pa.Table, int]:
+    """A map input's (conv_id, cnt) partial rows and their number; an
+    input unit reads the ``conv_id`` column only."""
+    partials = _partial_counts(input_rows(source, ["conv_id"]))
     return partials, partials.num_rows
 
 
@@ -462,30 +490,23 @@ HOT_ROWS_PER_TASK = 1_000_000
 
 def detect_hot_convs(source, threshold: int):
     """Pre-pass: the exact set of conversations with at least
-    ``threshold`` rows. ``source`` is a Dataset, or a list of input units
-    (``pipelines.rollup.input_units``: ``run_rollup_job`` counts with one
-    plain task per unit, no Dataset).
+    ``threshold`` rows. ``source`` is a Dataset or an iterable of
+    :class:`InputUnit` (``pipelines.rollup.input_units``).
 
-    Each input block (or unit) yields one (conv_id, cnt) partial row per
-    conv it holds (whole blocks — 1024-row batches would emit millions of
-    partial rows). The partials then take the rollup's routed shape
-    (stages/exchange.py): one task per block splits them by conv_id hash
-    into ``ceil(partial rows / HOT_ROWS_PER_TASK)`` parts (at most one
-    per block), and one summing task per part returns its convs that
-    reach ``threshold``. Nothing is summed on the driver.
+    One plain task per map input (a unit, or a non-empty block of the
+    Dataset, stages/exchange.py) yields one (conv_id, cnt) partial row
+    per conv it holds. The partials then take the rollup's routed
+    shape: one task per input splits them by conv_id hash into
+    ``ceil(partial rows / HOT_ROWS_PER_TASK)`` parts (at most one per
+    input), and one summing task per part returns its convs that reach
+    ``threshold``. Nothing is summed on the driver.
     """
-    if isinstance(source, list):
-        counted = [_count_unit.remote(unit) for unit in source]
-        refs = [partials for partials, _ in counted]
-        n_partials = sum(ray.get([n for _, n in counted]))
-    else:
-        partials = (
-            source.select_columns(["conv_id"])
-            .map_batches(_partial_counts, batch_format="pyarrow", batch_size=None)
-            .materialize()
-        )
-        refs = partials.to_arrow_refs()
-        n_partials = partials.count()
+    from ray.data import Dataset
+
+    inputs = dataset_blocks(source) if isinstance(source, Dataset) else source
+    counted = [_count_unit.remote(x) for x in inputs]
+    refs = [partials for partials, _ in counted]
+    n_partials = sum(ray.get([n for _, n in counted]))
     if not n_partials:
         return []
     num_parts = min(len(refs), -(-n_partials // HOT_ROWS_PER_TASK))

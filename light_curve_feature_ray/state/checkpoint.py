@@ -44,13 +44,20 @@ import time
 from statistics import median
 from typing import Any
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-from ..stages.exchange import exchange
-from ..stages.rollup import TIERS, RollupConfig, detect_hot_convs
+from ..stages.exchange import dataset_blocks, route, split_by_part
+from ..stages.rollup import (
+    TIERS,
+    RollupConfig,
+    detect_hot_convs,
+    hash_strings,
+    input_rows,
+)
 
 
 def _manifest_path(out_dir: str, part: int) -> str:
@@ -341,6 +348,19 @@ def read_rollup_output(out_dir: str):
 
 
 @ray.remote
+def _assign_split(block, key_col: str, num_parts: int, skip: list) -> list:
+    """Map task of :func:`write_dataset_partitioned`: one block → its rows
+    with ``part = hash(key_col) % num_parts``, split by part (the rows of
+    ``skip`` parts dropped)."""
+    table = input_rows(block)
+    key = table[key_col]
+    if not pa.types.is_string(key.type):
+        key = pc.cast(key, pa.string())
+    part = (hash_strings(key) % np.uint64(num_parts)).astype(np.int32)
+    return split_by_part(table.append_column("part", pa.array(part)), num_parts, skip)
+
+
+@ray.remote
 def _write_routed(out_dir: str, part: int, lineage: dict, *pieces: pa.Table) -> int:
     """Reduce task of :func:`write_dataset_partitioned`: one partition's
     pieces → its data file and manifest; returns the rows written."""
@@ -376,33 +396,21 @@ def write_dataset_partitioned(
     ones already complete), rows written.
 
     Scale shape: the rollup's one routed exchange (stages/exchange.py):
-    a split task per block of ``ds``, and a reduce task per partition
-    that writes its own partition directory — no driver bottleneck, no
-    single giant file. The Dataset executes when this is called.
+    one plain map task per non-empty block of ``ds`` hashes and splits
+    it, and a reduce task per partition writes its own partition
+    directory — no driver bottleneck, no single giant file. The Dataset
+    executes when this is called.
     """
-    import numpy as np
-
-    from ..stages.rollup import hash_strings
-
     done = completed_partitions(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     base_lineage = dict(lineage or {})
     base_lineage.setdefault("key_col", key_col)
     base_lineage.setdefault("num_partitions", num_partitions)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        key = batch[key_col]
-        if not pa.types.is_string(key.type):
-            key = pc.cast(key, pa.string())
-        part = (
-            hash_strings(key) % np.uint64(num_partitions)
-        ).astype(np.int32)
-        return batch.append_column(
-            "part", pa.array(part, type=pa.int32())
-        )
-
-    assigned = ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
-    routed = exchange(assigned, num_partitions, done)
+    split = _assign_split.options(num_returns=num_partitions + 1)
+    skip = sorted(done)
+    routed = route(
+        [split.remote(b, key_col, num_partitions, skip) for b in dataset_blocks(ds)]
+    )
     rows = ray.get(
         [
             _write_routed.remote(out_dir, part, base_lineage, *pieces)

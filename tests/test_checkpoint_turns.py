@@ -277,6 +277,50 @@ def test_partition_writer_encoding_rule(ray_session, synth_dir, tmp_path):
     pd.testing.assert_frame_equal(back, df, check_dtype=False)
 
 
+def test_dataset_sink_pandas_and_arrow_blocks(ray_session, tmp_path):
+    """write_dataset_partitioned turns each block into Arrow in its map
+    task: the same rows in pandas blocks and in Arrow blocks write the
+    same data.parquet bytes, and a rerun over a torn store rewrites only
+    the missing partition, with the same bytes."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from light_curve_feature_ray.stages.exchange import dataset_blocks
+    from light_curve_feature_ray.state.checkpoint import write_dataset_partitioned
+
+    df = pd.DataFrame(
+        {
+            "key": np.arange(300, dtype=np.int64),
+            "name": [f"doc-{i % 37}" for i in range(300)],
+            "score": np.linspace(0.0, 1.0, 300),
+        }
+    )
+    chunks = [df.iloc[i : i + 100] for i in range(0, 300, 100)]
+
+    def pandas_ds():
+        return rd.from_pandas(chunks)
+
+    assert isinstance(ray.get(next(dataset_blocks(pandas_ds()))), pd.DataFrame)
+    arrow = rd.from_arrow(
+        [pa.Table.from_pandas(c, preserve_index=False) for c in chunks]
+    )
+    a, b = str(tmp_path / "arrow"), str(tmp_path / "pandas")
+    write_dataset_partitioned(arrow, a, key_col="key", num_partitions=4)
+    write_dataset_partitioned(pandas_ds(), b, key_col="key", num_partitions=4)
+
+    def data(out, p):
+        return (Path(out) / f"part={p}" / "data.parquet").read_bytes()
+
+    want = [data(a, p) for p in range(4)]
+    assert [data(b, p) for p in range(4)] == want
+    os.remove(os.path.join(b, "part=2", "_manifest.json"))
+    again = write_dataset_partitioned(pandas_ds(), b, key_col="key", num_partitions=4)
+    assert again["partitions_written"] == 1 and again["partitions_skipped"] == 3
+    part2 = pq.read_metadata(os.path.join(a, "part=2", "data.parquet")).num_rows
+    assert 0 < again["rows_written"] == part2
+    assert [data(b, p) for p in range(4)] == want
+
+
 def _canonical(table: pa.Table) -> pd.DataFrame:
     keys = ["conv_id", "tier", "bucket_ts"]
     return table.to_pandas().sort_values(keys).reset_index(drop=True)

@@ -72,10 +72,13 @@ def _sorted(df, keys=("conv_id", "tier", "bucket_ts")):
 
 
 def test_packed_exchange_bit_identical(ray_session, synth_dir):
-    """The one exchange (pack_derived -> groupby -> unpack_packed) must
-    yield byte-identical output to the in-process reference — including
-    Gorilla points bytes — at any partition count."""
+    """The one exchange (each map task's pack_derived -> split_by_part,
+    route, unpack_packed in the reduce task) must yield byte-identical
+    output to the in-process reference — including Gorilla points bytes —
+    at any partition count, whether the map inputs are a path's input
+    units, a parquet read's blocks or pandas blocks."""
     import pyarrow.parquet as pq
+    import ray.data as rd
 
     from light_curve_feature_ray.pipelines.rollup import (
         read_transcripts,
@@ -88,12 +91,22 @@ def test_packed_exchange_bit_identical(ray_session, synth_dir):
         hot_threshold=None,
         store_points=True,
     )
-    want = _sorted(rollup_table(pq.read_table(synth_dir), cfg).to_pandas())
+    table = pq.read_table(synth_dir)
+    want = _sorted(rollup_table(table, cfg).to_pandas())
+    frame = table.to_pandas()
+    sources = {
+        "path": lambda: synth_dir,
+        "read": lambda: read_transcripts(synth_dir),
+        "pandas": lambda: rd.from_pandas(
+            [frame.iloc[i : i + 150] for i in range(0, len(frame), 150)]
+        ),
+    }
     for parts in (2, 5):
-        got = rollup_dataset(
-            read_transcripts(synth_dir), replace(cfg, num_partitions=parts)
-        ).to_pandas()
-        pd.testing.assert_frame_equal(_sorted(got), want)
+        for name, source in sources.items():
+            got = rollup_dataset(source(), replace(cfg, num_partitions=parts))
+            pd.testing.assert_frame_equal(
+                _sorted(got.to_pandas()), want, obj=f"{name} P={parts}"
+            )
 
 
 def test_packed_exchange_salted_and_dups(ray_session, salted_dir):

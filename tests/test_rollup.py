@@ -585,11 +585,15 @@ def test_auto_num_partitions_rule():
     assert auto_num_partitions(953_000_000, num_cpus=32) == 9530
 
 
-def test_detect_hot_convs_exact(ray_session):
+def test_detect_hot_convs_exact(ray_session, tmp_path):
     """The routed hot pre-pass is exact: a conv spread evenly over
-    every block at exactly the threshold is hot, one row fewer is not."""
+    every block at exactly the threshold is hot, one row fewer is not.
+    Input units, an Arrow-block Dataset and a pandas-block Dataset of the
+    same rows give the same set."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
+    from light_curve_feature_ray.pipelines.rollup import input_units
     from light_curve_feature_ray.stages.rollup import detect_hot_convs
 
     counts = {"spread": 40, "near": 39, "a": 7, "b": 1}
@@ -600,11 +604,24 @@ def test_detect_hot_convs_exact(ray_session):
             if pool[c]:
                 convs.append(c)
                 pool[c] -= 1
-    ds = rd.from_arrow(pa.table({"conv_id": convs})).repartition(8)
-    assert sorted(detect_hot_convs(ds, 40)) == ["spread"]
-    assert sorted(detect_hot_convs(ds, 7)) == ["a", "near", "spread"]
-    assert sorted(detect_hot_convs(ds, 1)) == sorted(counts)
-    assert detect_hot_convs(ds, 41) == []
+    table = pa.table({"conv_id": convs})
+    for i in range(4):
+        pq.write_table(table.slice(i * 22, 22), str(tmp_path / f"{i}.parquet"))
+    units = input_units(str(tmp_path))
+    assert len(units) == 4
+    frame = table.to_pandas()
+    sources = {
+        "units": units,
+        "arrow": rd.from_arrow(table).repartition(8),
+        "pandas": rd.from_pandas(
+            [frame.iloc[i : i + 11] for i in range(0, len(frame), 11)]
+        ),
+    }
+    for name, source in sources.items():
+        assert sorted(detect_hot_convs(source, 40)) == ["spread"], name
+        assert sorted(detect_hot_convs(source, 7)) == ["a", "near", "spread"], name
+        assert sorted(detect_hot_convs(source, 1)) == sorted(counts), name
+        assert detect_hot_convs(source, 41) == [], name
 
 
 def test_detect_hot_convs_many_blocks(ray_session, monkeypatch):
@@ -698,3 +715,36 @@ def test_auto_partitions_resolution(ray_session):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(out_ds[a.columns], a)
+
+
+def test_transformed_dataset_runs_once_per_block(ray_session, tmp_path):
+    """With num_partitions set and no hot pre-pass, rollup_dataset
+    executes a transformed Dataset's lineage once: its map_batches UDF
+    runs exactly once per block (the driver's ``band_key`` shape), and
+    the rows equal the in-process reference's."""
+    import ray.data as rd
+
+    from light_curve_feature_ray.pipelines.rollup import rollup_dataset, rollup_table
+
+    calls = tmp_path / "calls"
+    calls.touch()
+
+    def tag(batch: pa.Table) -> pa.Table:
+        with open(calls, "a") as f:
+            f.write("x\n")
+        return batch
+
+    table = synth_transcripts_table(n_convs=12, mean_turns=20, hot_convs=0, seed=9)
+    blocks = [table.slice(i, 80) for i in range(0, table.num_rows, 80)]
+    assert len(blocks) > 2
+    cfg = RollupConfig(
+        features=("observation_count", "mean"), num_partitions=3,
+        hot_threshold=None, store_points=True,
+    )
+    ds = rd.from_arrow(blocks).map_batches(tag, batch_format="pyarrow", batch_size=None)
+    got = rollup_dataset(ds, cfg).to_pandas()
+    assert len(calls.read_text().splitlines()) == len(blocks)
+    keys = ["conv_id", "tier", "bucket_ts"]
+    want = rollup_table(table, cfg).to_pandas().sort_values(keys).reset_index(drop=True)
+    got = got.sort_values(keys).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got[want.columns], want)
