@@ -13,6 +13,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.exchange import (
+    auto_shuffle_partitions,
+    reduce_by_key,
+    reduce_by_part,
+    with_part,
+)
+
 
 def _grouped_sums(
     keys, key_field: pa.Field, cols: dict, minmax: dict | None = None
@@ -252,8 +259,6 @@ def last_value_per_key(
     """
     import pyarrow.compute as pc
 
-    from .windows import _with_part
-
     if id_col is None:
         raise ValueError(
             "id_col is required: duplicate max timestamps would otherwise "
@@ -299,14 +304,8 @@ def last_value_per_key(
             cols[c] = batch[c]
         return pa.table(cols)
 
-    candidates = _with_part(
-        ds.map_batches(pick, batch_format="pyarrow", batch_size=None),
-        key_col,
-        num_partitions,
-    )
-    return candidates.groupby("part").map_groups(
-        finish, batch_format="pyarrow"
-    )
+    picked = ds.map_batches(pick, batch_format="pyarrow", batch_size=None)
+    return reduce_by_key(picked, key_col, finish, num_partitions, "pyarrow")
 
 
 _GS_SENTINEL = "\x00__all__"
@@ -511,8 +510,6 @@ def retention_cohorts(
     """
     import pyarrow.compute as pc
 
-    from .windows import _with_part
-
     def pairs(batch: pa.Table) -> pa.Table:
         t = batch.select([key_col, ts_col])
         t = t.filter(
@@ -564,14 +561,9 @@ def retention_cohorts(
             }
         )
 
+    pair_rows = ds.map_batches(pairs, batch_format="pyarrow", batch_size=None)
     agg = (
-        _with_part(
-            ds.map_batches(pairs, batch_format="pyarrow", batch_size=None),
-            key_col,
-            num_partitions,
-        )
-        .groupby("part")
-        .map_groups(cells, batch_format="pyarrow")
+        reduce_by_key(pair_rows, key_col, cells, num_partitions, "pyarrow")
         .groupby(["cohort_us", "offset_periods"])
         .sum("n")
     )
@@ -609,8 +601,6 @@ def group_top_k(
     counts would be wrong).
     """
     import pyarrow.compute as pc
-
-    from .windows import _with_part
 
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -660,11 +650,7 @@ def group_top_k(
             }
         )
 
-    return (
-        _with_part(counted, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(finish, batch_format="pyarrow")
-    )
+    return reduce_by_key(counted, key_col, finish, num_partitions, "pyarrow")
 
 
 def group_mode(
@@ -696,8 +682,6 @@ def group_mode(
     exchange.
     """
     import pyarrow.compute as pc
-
-    from .windows import _with_part
 
     def pairs(batch: pa.Table) -> pa.Table:
         t = batch.select([key_col, value_col]).combine_chunks()
@@ -746,11 +730,7 @@ def group_mode(
             }
         )
 
-    return (
-        _with_part(counted, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(finish, batch_format="pyarrow")
-    )
+    return reduce_by_key(counted, key_col, finish, num_partitions, "pyarrow")
 
 
 def first_seen_cumulative(
@@ -956,9 +936,9 @@ def audience_overlap(
     partial, all reduced by one tiny tagged groupby-sum; the O(|cats|²)
     finish runs in a single block.  The corpus shuffles ONLY as the slim
     two-column distinct set."""
-    from .text import _auto_pair_parts, _segment_pairs
+    from .text import _segment_pairs
 
-    num_partitions = _auto_pair_parts()
+    num_partitions = auto_shuffle_partitions()
 
     def distinct_partial(batch: pa.Table) -> pa.Table:
         t = batch.select([cat_col, key_col])
@@ -1042,11 +1022,11 @@ def audience_overlap(
         return out
 
     tagged = (
-        distinct.map_batches(assign, batch_format="pandas", batch_size=None)
-        .groupby("part")
-        .map_groups(
+        reduce_by_part(
+            distinct.map_batches(assign, batch_format="pandas", batch_size=None),
             lambda p: per_part(p.drop(columns=["part"])),
-            batch_format="pandas",
+            num_partitions,
+            "pandas",
         )
         .groupby(["kind", "cat_a", "cat_b"])
         .sum("cnt")
@@ -1211,8 +1191,6 @@ def group_entropy(
     segment reduction (``add.reduceat`` — no per-key Python)."""
     import pyarrow.compute as pc
 
-    from .windows import _with_part
-
     def pairs(batch: pa.Table) -> pa.Table:
         t = batch.select([key_col, cat_col]).combine_chunks()
         t = t.filter(
@@ -1262,11 +1240,7 @@ def group_entropy(
             }
         )
 
-    return (
-        _with_part(counted, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(finish, batch_format="pyarrow")
-    )
+    return reduce_by_key(counted, key_col, finish, num_partitions, "pyarrow")
 
 
 def welch_t_ab(
@@ -1575,8 +1549,6 @@ def group_collect(
     """
     import polars as pl
 
-    from .windows import _with_part
-
     ocols = list(order_cols)
 
     def per_partition(t: pa.Table) -> pa.Table:
@@ -1621,17 +1593,13 @@ def group_collect(
         raise ValueError(f"exchange must be 'parcel' or 'rows', got {exchange!r}")
 
     if exchange == "rows":
-        return (
-            _with_part(ds, key_col, num_partitions)
-            .groupby("part")
-            .map_groups(
-                lambda t: per_partition(t.drop_columns(["part"])),
-                batch_format="pyarrow",
-            )
+        return reduce_by_key(
+            ds,
+            key_col,
+            lambda t: per_partition(t.drop_columns(["part"])),
+            num_partitions,
+            "pyarrow",
         )
-
-    from ..stages.rollup import hash_strings
-    from .windows import auto_shuffle_partitions
 
     nparts = num_partitions or auto_shuffle_partitions()
     cols = [key_col, *ocols, value_col]
@@ -1645,10 +1613,7 @@ def group_collect(
                     "payload": pa.array([], type=pa.large_binary()),
                 }
             )
-        key = batch[key_col]
-        if not pa.types.is_string(key.type):
-            key = pc.cast(key, pa.string())
-        part = (hash_strings(key) % np.uint64(nparts)).astype(np.int64)
+        part = with_part(batch, key_col, nparts)["part"].to_numpy().astype(np.int64)
         by_part = np.argsort(part, kind="stable")
         sp = part[by_part]
         starts = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
@@ -1673,7 +1638,7 @@ def group_collect(
         )
 
     def unpack_reduce(batch: pa.Table) -> pa.Table:
-        # a part group always carries >= 1 parcel row (map_groups only
+        # a part group always carries >= 1 parcel row (reduce_by_part only
         # fires for existing groups)
         tables = [
             pa.ipc.open_stream(p.as_py()).read_all()
@@ -1685,8 +1650,5 @@ def group_collect(
             pa.concat_tables(tables, promote_options="permissive")
         )
 
-    return (
-        ds.map_batches(pack, batch_format="pyarrow", batch_size=None)
-        .groupby("part")
-        .map_groups(unpack_reduce, batch_format="pyarrow")
-    )
+    parcels = ds.map_batches(pack, batch_format="pyarrow", batch_size=None)
+    return reduce_by_part(parcels, unpack_reduce, nparts, "pyarrow")

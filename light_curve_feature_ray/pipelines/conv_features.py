@@ -16,6 +16,7 @@ import pyarrow.compute as pc
 
 from ..features.extractor import FeatureExtractor
 from ..features.grouped import GroupedSuite
+from ..stages.exchange import part_count, reduce_by_part
 
 
 def per_conv_features(
@@ -112,6 +113,4 @@ def per_conv_features(
             cols[n] = arr
         return pa.table(cols)
 
-    return turns_ds.groupby("part").map_groups(
-        eval_partition, batch_format="pyarrow"
-    )
+    return reduce_by_part(turns_ds, eval_partition, part_count(turns_ds), "pyarrow")

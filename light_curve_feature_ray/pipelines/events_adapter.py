@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
 from ..stages.rollup import hash_strings
 
 #: SQL CTE body producing the transcript view from `events` (oracle side).
@@ -44,10 +45,7 @@ def events_turns_dataset(sf_dir: str, num_partitions: int | None = None):
     ``num_partitions=None`` uses the cluster-aware default (driver
     queries pin 16 for the fixed small inputs).
     """
-    if num_partitions is None:
-        from .windows import auto_shuffle_partitions
-
-        num_partitions = auto_shuffle_partitions()
+    num_partitions = num_partitions or auto_shuffle_partitions()
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "event_type", "props"],
@@ -91,6 +89,4 @@ def events_turns_dataset(sf_dir: str, num_partitions: int | None = None):
     withpart = ds.map_batches(
         assign, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    return withpart.groupby("part").map_groups(
-        number_turns, batch_format="pyarrow"
-    )
+    return reduce_by_part(withpart, number_turns, num_partitions, "pyarrow")

@@ -45,18 +45,9 @@ import logging
 import numpy as np
 import pandas as pd
 
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
+
 logger = logging.getLogger(__name__)
-
-
-def _auto_parts(min_parts: int = 32) -> int:
-    """2 reduce tasks per cluster CPU (floored) — bounds per-task memory
-    as the cluster grows instead of a fixed constant."""
-    try:
-        import ray
-
-        return max(min_parts, 2 * int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        return min_parts
 
 
 def _cc_driver_numpy(a: np.ndarray, b: np.ndarray, max_rounds: int, strict: bool):
@@ -121,8 +112,7 @@ def connected_components_min_label(
     bound); 'distributed' forces the shuffle rounds."""
     if method not in ("auto", "driver", "distributed"):
         raise ValueError(f"unknown method {method!r}")
-    if num_partitions is None:
-        num_partitions = _auto_parts()
+    num_partitions = num_partitions or auto_shuffle_partitions()
 
     def norm_edges(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -265,7 +255,7 @@ def connected_components_min_label(
             )
             .map_batches(add_part, batch_format="pandas", batch_size=None)
         )
-        msgs = tagged.groupby("part").map_groups(attach, batch_format="pandas")
+        msgs = reduce_by_part(tagged, attach, num_partitions, "pandas")
         labels = min_combine(msgs).materialize()
         new_sum = labels.sum("lab")
         if new_sum == prev_sum:
@@ -336,8 +326,7 @@ def triangle_counts(
     """
     from .text import _segment_pairs
 
-    if num_partitions is None:
-        num_partitions = _auto_parts()
+    num_partitions = num_partitions or auto_shuffle_partitions()
 
     def norm(batch: pd.DataFrame) -> pd.DataFrame:
         a = batch[id_a].to_numpy(dtype=np.int64)
@@ -453,12 +442,12 @@ def triangle_counts(
             }
         )
 
-    partials = (
-        edges.groupby("part")
-        .map_groups(wedges_and_deg, batch_format="pandas")
-        .map_batches(repart, batch_format="pandas", batch_size=None)
-        .groupby("part")
-        .map_groups(close_and_count, batch_format="pandas")
+    wedges = reduce_by_part(edges, wedges_and_deg, num_partitions, "pandas")
+    partials = reduce_by_part(
+        wedges.map_batches(repart, batch_format="pandas", batch_size=None),
+        close_and_count,
+        num_partitions,
+        "pandas",
     )
     agg = partials.groupby("node").sum(["degree", "n_triangles"])
     return agg.map_batches(
@@ -557,8 +546,7 @@ def pagerank_undirected(
     """
     if method not in ("auto", "driver", "distributed"):
         raise ValueError(f"unknown method {method!r}")
-    if num_partitions is None:
-        num_partitions = _auto_parts()
+    num_partitions = num_partitions or auto_shuffle_partitions()
     if iters < 1:
         raise ValueError("iters must be >= 1")
     d = float(damping)
@@ -650,11 +638,11 @@ def pagerank_undirected(
             }
         )
 
-    base = (
-        pairs_ds.map_batches(norm_directed, batch_format="pandas", batch_size=None)
-        .groupby("part")
-        .map_groups(dedup_and_deg, batch_format="pandas")
-        .materialize()
+    base = reduce_by_part(
+        pairs_ds.map_batches(norm_directed, batch_format="pandas", batch_size=None),
+        dedup_and_deg,
+        num_partitions,
+        "pandas",
     )
     def _split(kind_val):
         def f(b: pd.DataFrame) -> pd.DataFrame:
@@ -769,8 +757,7 @@ def pagerank_undirected(
             ranks.map_batches(rank_rows, batch_format="pandas", batch_size=None),
         ).map_batches(add_part, batch_format="pandas", batch_size=None)
         sums = (
-            tagged.groupby("part")
-            .map_groups(contribute, batch_format="pandas")
+            reduce_by_part(tagged, contribute, num_partitions, "pandas")
             .groupby("node")
             .sum("contrib")
         )

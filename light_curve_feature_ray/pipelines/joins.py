@@ -41,6 +41,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
 from .text import _hash_mod_part
 
 
@@ -74,10 +75,7 @@ def _merge_join(
     ``end_col=None`` means no containment check (pure backward as-of);
     otherwise the matched interval must still cover the left timestamp,
     and the matched start/end bounds are emitted as float columns."""
-    if num_partitions is None:
-        from .windows import auto_shuffle_partitions
-
-        num_partitions = auto_shuffle_partitions()
+    num_partitions = num_partitions or auto_shuffle_partitions()
     schema = left_ds.schema()
     left_payload = [n for n in schema.names if n not in (key_col, ts_col)]
     payload_dtypes = {}
@@ -176,16 +174,12 @@ def _merge_join(
             out[end_col] = en
         return out
 
-    return (
-        left_t.union(right_t)
-        .map_batches(
-            lambda b: _hash_mod_part(b, [key_col], num_partitions),
-            batch_format="pandas",
-            batch_size=None,
-        )
-        .groupby("part")
-        .map_groups(merge_partition, batch_format="pandas")
+    tagged = left_t.union(right_t).map_batches(
+        lambda b: _hash_mod_part(b, [key_col], num_partitions),
+        batch_format="pandas",
+        batch_size=None,
     )
+    return reduce_by_part(tagged, merge_partition, num_partitions, "pandas")
 
 
 def asof_join(
@@ -456,10 +450,8 @@ def table_diff(
     driver traffic. The natural consumer is an incremental pipeline:
     feed the diff forward instead of reprocessing the full snapshot.
     """
-    from .text import _auto_pair_parts
-
     compare_cols = list(compare_cols)
-    num_partitions = num_partitions or _auto_pair_parts()
+    num_partitions = num_partitions or auto_shuffle_partitions()
 
     def tag(side: int):
         def f(b: pd.DataFrame) -> pd.DataFrame:
@@ -553,10 +545,9 @@ def table_diff(
             df = df[df["status"] != "unchanged"]
         return df
 
-    return (
-        tagged.groupby("part")
-        .map_groups(
-            lambda p: per_partition(p.drop(columns=["part"])),
-            batch_format="pandas",
-        )
+    return reduce_by_part(
+        tagged,
+        lambda p: per_partition(p.drop(columns=["part"])),
+        num_partitions,
+        "pandas",
     )

@@ -28,6 +28,7 @@ from ..features.multicolor import (
     MultiColorExtractor,
     _MCSegments,
 )
+from ..stages.exchange import part_count, reduce_by_part
 
 
 def _band_aggregates(batch: pa.Table, band_col: str):
@@ -138,9 +139,7 @@ def conv_color_features(turns_ds, band_a: str, band_b: str, band_set=None):
             }
         )
 
-    return turns_ds.groupby("part").map_groups(
-        eval_partition, batch_format="pyarrow"
-    )
+    return reduce_by_part(turns_ds, eval_partition, part_count(turns_ds), "pyarrow")
 
 
 def conv_multicolor_features(
@@ -213,6 +212,4 @@ def conv_multicolor_features(
             cols[n] = arr
         return pa.table(cols)
 
-    return turns_ds.groupby("part").map_groups(
-        eval_partition, batch_format="pyarrow"
-    )
+    return reduce_by_part(turns_ds, eval_partition, part_count(turns_ds), "pyarrow")

@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
+
 _NO_ID = np.int64(2**62)  # the first_event_latency absent-side sentinel
 
 _ROW_KINDS = ("not_null", "range", "regex", "in_set")
@@ -335,7 +337,6 @@ def profile_table(
     )
 
     from ..stages.rollup import hash_strings
-    from .windows import auto_shuffle_partitions
 
     dist_parts = num_partitions or auto_shuffle_partitions()
 
@@ -404,10 +405,11 @@ def profile_table(
             }
         )
 
-    dists = (
-        ds.map_batches(dist_pairs, batch_format="pyarrow", batch_size=None)
-        .groupby("part")
-        .map_groups(dist_count, batch_format="pyarrow")
+    dists = reduce_by_part(
+        ds.map_batches(dist_pairs, batch_format="pyarrow", batch_size=None),
+        dist_count,
+        dist_parts,
+        "pyarrow",
     )
 
     agg = nums.union(dists).groupby("col").aggregate(

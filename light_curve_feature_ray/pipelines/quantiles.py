@@ -37,6 +37,8 @@ import numpy as np
 import pandas as pd
 import ray
 
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_key, reduce_by_part
+
 
 def _minmax_count(ds, col: str):
     """One streaming pass -> (min, max, n_non_null). NaN/null excluded
@@ -384,12 +386,10 @@ def _grouped_order_stats(ds, group_col, col, qs, num_partitions, select):
     returns the per-group value at quantile q over the NaN-filtered
     sorted segments. The null-key / NaN / hash spellings here are
     pinned by CLAUDE.md for BOTH variants — change once, both follow."""
-    from .text import _auto_pair_parts
-
     qs = np.array([float(q) for q in qs])
     if ((qs < 0) | (qs > 1)).any():
         raise ValueError("quantiles must be in [0, 1]")
-    num_partitions = num_partitions or _auto_pair_parts()
+    num_partitions = num_partitions or auto_shuffle_partitions()
 
     def assign(b: pd.DataFrame) -> pd.DataFrame:
         # NULL-key rows are DROPPED (mirror: WHERE key IS NOT NULL in SQL
@@ -428,13 +428,11 @@ def _grouped_order_stats(ds, group_col, col, qs, num_partitions, select):
             }
         )
 
-    return (
-        ds.map_batches(assign, batch_format="pandas", batch_size=None)
-        .groupby("part")
-        .map_groups(
-            lambda p: per_part(p.drop(columns=["part"])),
-            batch_format="pandas",
-        )
+    return reduce_by_part(
+        ds.map_batches(assign, batch_format="pandas", batch_size=None),
+        lambda p: per_part(p.drop(columns=["part"])),
+        num_partitions,
+        "pandas",
     )
 
 
@@ -583,11 +581,9 @@ def grouped_mad(
     Null keys and null/NaN values are dropped (grouped-op contract;
     mirrored by the twin's IS NOT NULL / NOT isnan filters). Returns a
     Dataset of (group, med, mad)."""
-    from .text import _auto_pair_parts
-
     import pandas as pd
 
-    num_partitions = num_partitions or _auto_pair_parts()
+    num_partitions = num_partitions or auto_shuffle_partitions()
 
     def assign(b: pd.DataFrame) -> pd.DataFrame:
         ok = b[group_col].notna().to_numpy()
@@ -627,13 +623,11 @@ def grouped_mad(
         mad = _seg_median(dev[order2], starts, counts)
         return pd.DataFrame({group_col: g[starts], "med": med, "mad": mad})
 
-    return (
-        ds.map_batches(assign, batch_format="pandas", batch_size=None)
-        .groupby("part")
-        .map_groups(
-            lambda p: per_part(p.drop(columns=["part"])),
-            batch_format="pandas",
-        )
+    return reduce_by_part(
+        ds.map_batches(assign, batch_format="pandas", batch_size=None),
+        lambda p: per_part(p.drop(columns=["part"])),
+        num_partitions,
+        "pandas",
     )
 
 
@@ -733,9 +727,7 @@ def ks_drift(
     drift over unbounded keys.
     """
     from .sampling import lehmer_hash
-    from .text import _auto_pair_parts
-
-    num_partitions = num_partitions or _auto_pair_parts()
+    num_partitions = num_partitions or auto_shuffle_partitions()
 
     def assign(b: pd.DataFrame) -> pd.DataFrame:
         b = b.dropna(subset=[key_col, id_col])
@@ -800,13 +792,11 @@ def ks_drift(
             }
         )
 
-    return (
-        ds.map_batches(assign, batch_format="pandas", batch_size=None)
-        .groupby("part")
-        .map_groups(
-            lambda p: per_part(p.drop(columns=["part"])),
-            batch_format="pandas",
-        )
+    return reduce_by_part(
+        ds.map_batches(assign, batch_format="pandas", batch_size=None),
+        lambda p: per_part(p.drop(columns=["part"])),
+        num_partitions,
+        "pandas",
     )
 
 
@@ -1156,15 +1146,12 @@ def grouped_approx_quantiles(
             }
         )
 
-    from .windows import _with_part
-
-    binned = (
-        _with_part(cells, group_col, num_partitions)
-        .groupby("part")
-        .map_groups(
-            lambda p: finish(p.drop(columns=["part"])),
-            batch_format="pandas",
-        )
+    binned = reduce_by_key(
+        cells,
+        group_col,
+        lambda p: finish(p.drop(columns=["part"])),
+        num_partitions,
+        "pandas",
     )
 
     # constant groups (w == 0): value = lo for every q, emitted once

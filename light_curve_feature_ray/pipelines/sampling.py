@@ -31,6 +31,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_key, reduce_by_part
+
 # Lehmer / MINSTD constants (Park & Miller 1988): modulus 2**31 - 1,
 # multiplier 48271.  state < 2**31 and 48271 < 2**16 keep every product
 # under 2**47 — exact in int64 on both engines.
@@ -197,9 +199,7 @@ def top_k_per_group(
     the corpus.  The reduce re-runs the identical kernel per hash
     partition — associativity of top-k makes combiner+reduce exact.
     """
-    from .text import _auto_pair_parts
-
-    num_partitions = num_partitions or _auto_pair_parts()
+    num_partitions = num_partitions or auto_shuffle_partitions()
 
     def _part(df: pd.DataFrame) -> pd.DataFrame:
         # string-capable hash partition key (pd.util.hash_array is a fixed-
@@ -221,7 +221,7 @@ def top_k_per_group(
         out = _topk_frame(part, group_col, score_col, tiebreak_col, k, with_rank)
         return out.drop(columns=["part"])
 
-    return combined.groupby("part").map_groups(_reduce, batch_format="pandas")
+    return reduce_by_part(combined, _reduce, num_partitions, "pandas")
 
 
 def hash_split(
@@ -346,9 +346,7 @@ def weighted_sample(
         batch_format="pyarrow",
         batch_size=None,
     )
-    return candidates.groupby("part").map_groups(
-        _reduce, batch_format="pyarrow"
-    )
+    return reduce_by_part(candidates, _reduce, 1, "pyarrow")
 
 
 def quota_sample(
@@ -379,8 +377,6 @@ def quota_sample(
     identical kernel per partition. ``quotas`` is a small driver-side
     dict broadcast with the task closure; the corpus never shuffles.
     """
-    from .windows import _with_part
-
     quotas = dict(quotas)
     for g, q in quotas.items():
         if q < 0:
@@ -416,15 +412,8 @@ def quota_sample(
         keep = offset < q[order]
         return batch.take(pa.array(np.sort(order[keep])))
 
-    candidates = _with_part(
-        ds.map_batches(_keep, batch_format="pyarrow", batch_size=None),
-        group_col,
-        num_partitions,
-    )
-
     def _reduce(t: pa.Table) -> pa.Table:
         return _keep(t.drop_columns(["part"]))
 
-    return candidates.groupby("part").map_groups(
-        _reduce, batch_format="pyarrow"
-    )
+    kept = ds.map_batches(_keep, batch_format="pyarrow", batch_size=None)
+    return reduce_by_key(kept, group_col, _reduce, num_partitions, "pyarrow")

@@ -46,6 +46,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..stages.exchange import cluster_cpus
 from .sampling import LEHMER_MOD, lehmer_hash
 
 
@@ -67,12 +68,7 @@ def _auto_buckets(min_buckets: int = 256) -> int:
     """Default bucket count: 2 per cluster CPU, floored — buckets are the
     scan-pass parallelism AND the per-task memory bound, so they must
     grow with the cluster (same rule as the pair-explosion shuffles)."""
-    try:
-        import ray
-
-        return max(min_buckets, 2 * int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        return min_buckets
+    return max(min_buckets, 2 * cluster_cpus())
 
 
 def ordered_prefix_sum(

@@ -16,6 +16,8 @@ import pandas as pd
 
 import ray
 
+from ..stages.exchange import cluster_cpus
+
 
 def _to_matrix(col) -> np.ndarray:
     # np.stack raises on an empty list; empty Ray blocks are routine
@@ -340,11 +342,7 @@ def _auto_pair_blocks(n_rows: int, target_rows: int = 131_072) -> int:
     every cluster CPU (B*(B+1)/2 >= 2*CPU) AND each block side bounded
     to ``target_rows`` vectors so a pair-group's two matrices fit one
     worker's heap at any corpus size."""
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    b_cpu = int(np.ceil((np.sqrt(16 * ncpu + 1) - 1) / 2))  # B(B+1)/2>=2cpu
+    b_cpu = int(np.ceil((np.sqrt(16 * cluster_cpus() + 1) - 1) / 2))  # B(B+1)/2>=2cpu
     b_mem = int(np.ceil(n_rows / target_rows))
     return max(4, b_cpu, b_mem)
 

@@ -36,6 +36,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
+
 logger = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"\S+")
@@ -1001,16 +1003,6 @@ def _segment_pairs(starts: np.ndarray, sizes: np.ndarray):
     return starts[pg] + ii, starts[pg] + jj
 
 
-def _auto_pair_parts(min_parts: int = 32) -> int:
-    """Reduce-partition count for the pair-explosion shuffles — the ONE
-    cluster-aware rule shared with the window/join family (delegates to
-    ``windows.auto_shuffle_partitions`` so a tuning change propagates to
-    every keyed shuffle at once)."""
-    from .windows import auto_shuffle_partitions
-
-    return auto_shuffle_partitions(min_parts)
-
-
 def _hash_mod_part(batch: pd.DataFrame, cols, num_partitions: int) -> pd.DataFrame:
     """Append an int32 ``part`` column = polynomial mix of ``cols`` (viewed
     as uint64) mod ``num_partitions`` — the one shared spelling of the
@@ -1259,9 +1251,7 @@ def _lsh_candidate_pairs(
             {"doc_a": d[a_rows], "doc_b": d[b_rows]}
         )
 
-    pairs = buckets.groupby("part").map_groups(
-        partition_pairs, batch_format="pandas"
-    )
+    pairs = reduce_by_part(buckets, partition_pairs, num_partitions, "pandas")
     # a pair surfacing in several bands is still one candidate:
     # count() aggregate + column drop = distinct, no per-pair Python
     pairs = pairs.groupby(["doc_a", "doc_b"]).count().map_batches(
@@ -1383,16 +1373,12 @@ def _attach_pair_texts(
             }
         )
 
-    return (
-        cand_texts.union(sides)
-        .map_batches(
-            lambda b: _hash_mod_part_arrow(b, ["doc_id"], num_partitions),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .groupby("part")
-        .map_groups(attach_partition, batch_format="pandas")
+    tagged = cand_texts.union(sides).map_batches(
+        lambda b: _hash_mod_part_arrow(b, ["doc_id"], num_partitions),
+        batch_format="pyarrow",
+        batch_size=None,
     )
+    return reduce_by_part(tagged, attach_partition, num_partitions, "pandas")
 
 
 def minhash_lsh_dups(
@@ -1412,7 +1398,7 @@ def minhash_lsh_dups(
     ids; overflow logged) → pair dedup (groupby) → verification:
     candidate ids broadcast via ``ray.put``, candidate docs' texts
     shipped through a keyed shuffle, exact shingle-Jaccard computed in a
-    distributed ``map_groups`` (:func:`_lsh_candidate_pairs` +
+    distributed reduce (:func:`_lsh_candidate_pairs` +
     :func:`_attach_pair_texts` do the blocking / attachment). No
     driver-side corpus scan at any point.
 
@@ -1422,7 +1408,7 @@ def minhash_lsh_dups(
     import ray
 
     poly = hasher == "poly"
-    num_partitions = _auto_pair_parts()
+    num_partitions = auto_shuffle_partitions()
     pairs = _lsh_candidate_pairs(
         docs_ds,
         num_perms=num_perms,
@@ -1496,14 +1482,13 @@ def minhash_lsh_dups(
             }
         )
 
+    tagged = attached.map_batches(
+        lambda b: _hash_mod_part(b, ["doc_a", "doc_b"], num_partitions),
+        batch_format="pandas",
+        batch_size=None,
+    )
     return (
-        attached.map_batches(
-            lambda b: _hash_mod_part(b, ["doc_a", "doc_b"], num_partitions),
-            batch_format="pandas",
-            batch_size=None,
-        )
-        .groupby("part")
-        .map_groups(verify_pair_partition, batch_format="pandas")
+        reduce_by_part(tagged, verify_pair_partition, num_partitions, "pandas")
         .map_batches(
             lambda b: b[["doc_a", "doc_b", "jaccard"]],
             batch_format="pandas",
@@ -1585,7 +1570,7 @@ def edit_distance_dups(
     Returns (doc_a, doc_b, dist), doc_a < doc_b."""
     import ray
 
-    num_partitions = _auto_pair_parts()
+    num_partitions = auto_shuffle_partitions()
     pairs = _lsh_candidate_pairs(
         docs_ds,
         num_perms=num_perms,
@@ -1644,14 +1629,13 @@ def edit_distance_dups(
             }
         )
 
+    tagged = attached.map_batches(
+        lambda b: _hash_mod_part(b, ["doc_a", "doc_b"], num_partitions),
+        batch_format="pandas",
+        batch_size=None,
+    )
     return (
-        attached.map_batches(
-            lambda b: _hash_mod_part(b, ["doc_a", "doc_b"], num_partitions),
-            batch_format="pandas",
-            batch_size=None,
-        )
-        .groupby("part")
-        .map_groups(score_pair_partition, batch_format="pandas")
+        reduce_by_part(tagged, score_pair_partition, num_partitions, "pandas")
         .map_batches(
             lambda b: b[["doc_a", "doc_b", "dist"]],
             batch_format="pandas",
@@ -1788,7 +1772,7 @@ def _ngram_counted_pairs(docs_ds, k: int, max_df: int):
             }
         )
 
-    num_partitions = _auto_pair_parts()
+    num_partitions = auto_shuffle_partitions()
 
     grams = docs_ds.map_batches(
         explode_grams, batch_format="pyarrow", batch_size=None
@@ -1830,7 +1814,7 @@ def _ngram_counted_pairs(docs_ds, k: int, max_df: int):
             }
         )
 
-    pairs = grams.groupby("part").map_groups(partition_pairs, batch_format="pandas")
+    pairs = reduce_by_part(grams, partition_pairs, num_partitions, "pandas")
 
     # co-occurrence = COUNT aggregate over the pair key (na/nb are
     # functionally dependent on the doc ids, so they ride in the key);
@@ -2127,7 +2111,7 @@ def simhash_dups(
             )
         return pa.concat_tables(tables)
 
-    num_partitions = _auto_pair_parts()
+    num_partitions = auto_shuffle_partitions()
 
     rows = docs_ds.map_batches(
         explode, batch_format="pyarrow", batch_size=None
@@ -2177,9 +2161,7 @@ def simhash_dups(
             }
         )
 
-    pairs = rows.groupby("part").map_groups(
-        partition_pairs, batch_format="pandas"
-    )
+    pairs = reduce_by_part(rows, partition_pairs, num_partitions, "pandas")
     # a pair found in several bands has the same hamming everywhere:
     # min() is a pure dedup aggregate (no per-pair Python)
     agg = pairs.groupby(["doc_a", "doc_b"]).min("hamming")

@@ -23,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
 from ..stages.rollup import hash_strings
 
 _IPC_OPTS = pa.ipc.IpcWriteOptions(compression="zstd")
@@ -157,10 +158,7 @@ def clean_turns(ds, num_partitions: int | None = None):
     ``num_partitions=None`` auto-sizes to the cluster
     (``auto_shuffle_partitions`` — 2 per CPU, floored at 32); outputs are
     invariant to the value."""
-    if num_partitions is None:
-        from .windows import auto_shuffle_partitions
-
-        num_partitions = auto_shuffle_partitions()
+    num_partitions = num_partitions or auto_shuffle_partitions()
 
     parcels = ds.map_batches(
         lambda b: _pack_parcels(b, num_partitions),
@@ -168,6 +166,4 @@ def clean_turns(ds, num_partitions: int | None = None):
         batch_size=None,
         zero_copy_batch=True,
     )
-    return parcels.groupby("part").map_groups(
-        _unpack_settle, batch_format="pyarrow"
-    )
+    return reduce_by_part(parcels, _unpack_settle, num_partitions, "pyarrow")

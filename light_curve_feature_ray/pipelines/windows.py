@@ -1,9 +1,10 @@
 """Streaming-shaped window operators over an ordered, keyed event log.
 
 Ray Data has no event-time window engine; these express the standard
-window shapes the Ray-Data way (see the streaming section of the Ray
-guide): partition by key, sort within partition, vectorized window
-assignment inside ``map_groups``. Batch semantics per partitioned log —
+window shapes as one keyed exchange each: ``stages.exchange.reduce_by_key``
+hashes the key into ``part`` and routes every key's rows to one reduce
+call, which sorts or groups its partition by key itself and assigns
+windows vectorized. Batch semantics per partitioned log —
 no watermarks/late data (the engine's tier cascade makes the same
 assumption, SURVEY.md §2.7).
 
@@ -19,10 +20,10 @@ import warnings
 
 import numpy as np
 import pandas as pd
-
-from ..stages.rollup import hash_strings
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..stages.exchange import reduce_by_key
 
 
 def _epoch_seconds(col: pd.Series) -> np.ndarray:
@@ -30,40 +31,6 @@ def _epoch_seconds(col: pd.Series) -> np.ndarray:
     return (
         col.astype("datetime64[us]").astype("int64").to_numpy() // 1_000_000
     )
-
-
-def auto_shuffle_partitions(min_partitions: int = 32) -> int:
-    """Cluster-aware default reduce parallelism for the keyed-window /
-    join / snapshot shuffles: 2 per cluster CPU, floored at the
-    historical fixed 32 — the same rule as ``scan._auto_buckets``, so
-    reduce-task count grows with the cluster instead of capping at a
-    literal. Outputs are invariant to the value
-    (tests/test_parallelism_invariance.py); only task granularity and
-    per-task memory change."""
-    try:
-        import ray
-
-        return max(
-            min_partitions, 2 * int(ray.cluster_resources().get("CPU", 8))
-        )
-    except Exception:
-        return min_partitions
-
-
-def _with_part(ds, key_col: str, num_partitions: int | None):
-    if num_partitions is None:
-        num_partitions = auto_shuffle_partitions()
-
-    def f(batch: pa.Table) -> pa.Table:
-        key = batch[key_col]
-        if not pa.types.is_string(key.type):
-            import pyarrow.compute as pc
-
-            key = pc.cast(key, pa.string())
-        part = (hash_strings(key) % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("part", pa.array(part, type=pa.int32()))
-
-    return ds.map_batches(f, batch_format="pyarrow", batch_size=None)
 
 
 def _drop_null_ts(g: pd.DataFrame, ts_col: str) -> pd.DataFrame:
@@ -116,9 +83,7 @@ def sliding_window_agg(
         out["n"] = out["n"].astype("int64")
         return out
 
-    return _with_part(events_ds, key_col, num_partitions).groupby("part").map_groups(
-        per_partition, batch_format="pandas"
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def session_windows(
@@ -169,9 +134,7 @@ def session_windows(
             [key_col, "session_idx", "session_start", "session_end", "n", "sum_value"]
         ]
 
-    return _with_part(events_ds, key_col, num_partitions).groupby("part").map_groups(
-        per_partition, batch_format="pandas"
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def rolling_agg(
@@ -282,9 +245,7 @@ def rolling_agg(
             }
         )
 
-    return _with_part(events_ds, key_col, num_partitions).groupby("part").map_groups(
-        per_partition, batch_format="pandas"
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def rolling_time_agg(
@@ -365,9 +326,7 @@ def rolling_time_agg(
             }
         )
 
-    return _with_part(events_ds, key_col, num_partitions).groupby("part").map_groups(
-        per_partition, batch_format="pandas"
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def tumbling_window_agg(
@@ -431,11 +390,7 @@ def tumbling_window_agg(
         out.loc[n == 0, ["sum_value", "min_value", "max_value"]] = np.nan
         return out
 
-    return (
-        _with_part(partials, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(merge_partition, batch_format="pandas")
-    )
+    return reduce_by_key(partials, key_col, merge_partition, num_partitions, "pandas")
 
 
 def ewma(
@@ -501,11 +456,7 @@ def ewma(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def rolling_zscore(
@@ -617,11 +568,7 @@ def rolling_zscore(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def running_agg(
@@ -701,11 +648,7 @@ def running_agg(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def funnel_steps(
@@ -777,11 +720,7 @@ def funnel_steps(
         cols["steps_completed"] = completed
         return pd.DataFrame(cols)
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def state_intervals(
@@ -844,11 +783,7 @@ def state_intervals(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def event_transitions(
@@ -917,9 +852,7 @@ def event_transitions(
         ).to_pandas()
 
     counted = (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(pair_partials, batch_format="pandas")
+        reduce_by_key(events_ds, key_col, pair_partials, num_partitions, "pandas")
         .groupby(["from_state", "to_state"])
         .sum("cnt")
     )
@@ -954,11 +887,7 @@ def event_transitions(
             }
         )
 
-    return (
-        _with_part(counted, "from_state", num_partitions)
-        .groupby("part")
-        .map_groups(probs, batch_format="pyarrow")
-    )
+    return reduce_by_key(counted, "from_state", probs, num_partitions, "pyarrow")
 
 
 def interval_coverage(
@@ -1042,11 +971,7 @@ def interval_coverage(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def throttle(
@@ -1091,11 +1016,7 @@ def throttle(
         )
         return g[~g.duplicated([key_col, type_col, "window_start"])]
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def time_weighted_avg(
@@ -1170,11 +1091,7 @@ def time_weighted_avg(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def key_lag_deltas(
@@ -1237,11 +1154,7 @@ def key_lag_deltas(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def windowed_count_distinct(
@@ -1452,11 +1365,7 @@ def resample_time_grid(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def rolling_median(
@@ -1540,11 +1449,7 @@ def rolling_median(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def event_path_ngrams(
@@ -1621,9 +1526,7 @@ def event_path_ngrams(
         return out.rename_columns(["path", "cnt"]).to_pandas()
 
     counted = (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(path_partials, batch_format="pandas")
+        reduce_by_key(events_ds, key_col, path_partials, num_partitions, "pandas")
         .groupby("path")
         .sum("cnt")
     )
@@ -1748,11 +1651,7 @@ def lag_autocorr(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def changepoint_single(
@@ -1876,11 +1775,7 @@ def changepoint_single(
             }
         )
 
-    return (
-        _with_part(events_ds, key_col, num_partitions)
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return reduce_by_key(events_ds, key_col, per_partition, num_partitions, "pandas")
 
 
 def gap_report(
@@ -1976,14 +1871,5 @@ def gap_report(
             }
         )
 
-    return (
-        _with_part(
-            events_ds.map_batches(
-                pairs, batch_format="pyarrow", batch_size=None
-            ),
-            key_col,
-            num_partitions,
-        )
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pyarrow")
-    )
+    pair_rows = events_ds.map_batches(pairs, batch_format="pyarrow", batch_size=None)
+    return reduce_by_key(pair_rows, key_col, per_partition, num_partitions, "pyarrow")

@@ -56,7 +56,7 @@ import ray
 from ..codec import gorilla
 from ..features.extractor import FeatureExtractor
 from ..features.grouped import GroupedSuite
-from .exchange import dataset_blocks, route, split_by_part
+from .exchange import PART_ROWS, dataset_blocks, route, split_by_part
 
 US_PER_MIN = 60_000_000
 MIN_PER_DAY = 1440  # salt windows are whole days
@@ -193,7 +193,7 @@ def _cluster_cpus() -> int:
 def auto_num_partitions(
     n_rows: int,
     num_cpus: int | None = None,
-    target_rows: int = 100_000,
+    target_rows: int = PART_ROWS,
     max_parts: int = 65_536,
 ) -> int:
     """Partition count from a rows-per-partition target band.

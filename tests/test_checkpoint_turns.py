@@ -405,6 +405,21 @@ def test_job_runs_without_ray_data(ray_session, tmp_path, monkeypatch):
     pd.testing.assert_frame_equal(got[want.columns], want)
 
 
+def test_package_has_one_exchange():
+    """Every exchange on ``part`` goes through stages/exchange.py: no
+    module of the package runs Ray Data's sort-based groupby on it."""
+    import light_curve_feature_ray
+
+    root = Path(light_curve_feature_ray.__file__).parent
+    hits = [
+        f"{path.relative_to(root)}:{n}"
+        for path in sorted(root.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if 'groupby("part")' in line
+    ]
+    assert not hits
+
+
 def test_turns_passthrough_invariants(ray_session, synth_dir):
     import ray.data as rd
 
