@@ -1,9 +1,10 @@
 """End-to-end rollup pipelines.
 
 Both production entry points run one shape on plain Ray tasks: one map
-task per map input — an input unit (:func:`input_units`: row-group ranges
-of the input files, from parquet metadata) or a non-empty block of a
-Dataset — reads or converts its rows, derives and packs them
+task per map input — an input unit (:func:`input_units`: consecutive
+row groups packed across the input files, one unit per cluster CPU
+unless the input is large, from parquet metadata) or a non-empty block
+of a Dataset — reads or converts its rows, derives and packs them
 (:func:`_derive_pack`: ``DeriveAssign`` then ``pack_derived``) and splits
 them by partition; ONE routed exchange (stages/exchange.py) then hands
 each partition's pieces to one reduce task (:func:`_rollup_part`) that
@@ -34,9 +35,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.exchange import dataset_blocks, route, split_by_part
+from ..stages.exchange import cluster_cpus, dataset_blocks, route, split_by_part
 from ..stages.rollup import (
-    ROWS_PER_BLOCK,
     DeriveAssign,
     InputUnit,
     RollupConfig,
@@ -85,25 +85,56 @@ def parquet_files(path: str) -> list[str]:
     return sorted(pads.dataset(path, format="parquet").files)
 
 
+#: the row target of ``input_units``: an input of R rows gets at least
+#: ceil(R / ROWS_PER_BLOCK) units, so one map task holds at most about
+#: this many rows; below CPUs * ROWS_PER_BLOCK rows (the benchmark's
+#: 120 k-turn inputs) the CPU count sets the units instead. Unmeasured
+#: above that size.
+ROWS_PER_BLOCK = 250_000
+
+
 def input_units(path: str) -> list[InputUnit]:
-    """Split the input into units from parquet metadata alone: runs of
-    consecutive row groups of one file, at most ``ROWS_PER_BLOCK`` rows
-    each unless one row group alone holds more. Empty files give none."""
-    units = []
+    """Split the input into map inputs from parquet metadata alone: the
+    row groups of every file under ``path``, in sorted file order, packed
+    consecutively into units that may span files.
+
+    The number of units is ``max(ceil(rows / ROWS_PER_BLOCK), cluster
+    CPUs)``, at most one per row group, so the map task count follows the
+    cluster, not the file count. Cut the rows into that many equal
+    shares: a row group joins the unit of the share its middle row falls
+    in, so a row group is never split, and one larger than a share is a
+    unit of its own. Empty row groups are skipped."""
+    groups = []
     for file in parquet_files(path):
         meta = pq.read_metadata(file)
-        groups: list[int] = []
-        rows = 0
         for g in range(meta.num_row_groups):
             n = meta.row_group(g).num_rows
-            if groups and rows + n > ROWS_PER_BLOCK:
-                units.append(InputUnit(file, tuple(groups), rows))
-                groups, rows = [], 0
-            groups.append(g)
-            rows += n
-        if rows:
-            units.append(InputUnit(file, tuple(groups), rows))
-    return units
+            if n:
+                groups.append((file, g, n))
+    total = sum(n for _, _, n in groups)
+    target = min(max(-(-total // ROWS_PER_BLOCK), cluster_cpus()), len(groups))
+    units: list[list] = []  # each unit's (file, row group, rows) triples
+    start, share, last_big = 0, None, False
+    for file, g, n in groups:
+        big = n * target > total
+        # the share of the middle row, start + n / 2, in integers
+        mid_share = (2 * start + n) * target // (2 * total)
+        if mid_share != share or big or last_big:
+            units.append([])
+        units[-1].append((file, g, n))
+        start, share, last_big = start + n, mid_share, big
+    return [_unit(unit) for unit in units]
+
+
+def _unit(groups: list[tuple[str, int, int]]) -> InputUnit:
+    """The input unit of consecutive ``(file, row group, rows)`` triples."""
+    runs: dict[str, list[int]] = {}
+    for file, g, _ in groups:
+        runs.setdefault(file, []).append(g)
+    return InputUnit(
+        tuple((file, tuple(gs)) for file, gs in runs.items()),
+        sum(n for _, _, n in groups),
+    )
 
 
 def _cache_put(cache: dict, key: str, value):

@@ -63,6 +63,7 @@ from ..stages.rollup import (
     RollupWorker,
     assign_parts,
     hash_strings,
+    hot_mask,
 )
 from ..state.checkpoint import (
     _file_manifest,
@@ -136,12 +137,13 @@ def _old_points(sel: pa.Table, config: RollupConfig, hot: set) -> pa.Table:
     pos = np.arange(ts_all.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     # each distinct conversation is hashed once; its points repeat the hash
     codes = conv.indices.to_numpy().astype(np.int64)[idx]
+    # the hot mask is taken on the dictionary, then per point by code
+    is_hot = hot_mask(conv.dictionary, hot)
     part = assign_parts(
-        conv.dictionary.to_numpy(zero_copy_only=False)[codes] if hot else np.empty(0),
         hash_strings(conv.dictionary)[codes],
         ts_all,
         config,
-        hot,
+        None if is_hot is None else is_hot[codes],
     )
     return pa.table(
         {

@@ -2,8 +2,9 @@
 column, with plain Ray tasks and no sort.
 
 Every map-side step runs one plain Ray task per **map input**: an input
-unit (a row-group range of a parquet file, ``stages.rollup.InputUnit``)
-or a non-empty block of a Dataset (:func:`dataset_blocks`, each task
+unit (consecutive row groups of the input's parquet files, possibly
+spanning files, ``stages.rollup.InputUnit``) or a non-empty block of a
+Dataset (:func:`dataset_blocks`, each task
 launched as its block is produced). The task turns its input into an Arrow
 table, runs the step's body, and ends in :func:`split_by_part`, which it
 returns with ``num_returns=P + 1``: P tables, the rows of each part, and
@@ -24,7 +25,8 @@ reduce task per part. Every other keyed step goes through
 column into ``part`` first): the contract of Ray Data's ``map_groups``
 over ``part``, on the same map tasks and ``route``, with contiguous parts
 packed into as few reduce tasks as the cluster's CPUs and
-:data:`PART_ROWS` allow.
+:data:`PART_ROWS` allow. :func:`cluster_cpus` is the one reader of the
+cluster's size.
 """
 
 from __future__ import annotations
@@ -81,11 +83,13 @@ def dataset_blocks(ds) -> Iterator:
 
 
 def cluster_cpus() -> int:
-    """CPUs of the Ray cluster; 8 when Ray cannot say."""
-    try:
-        return int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        return 8
+    """CPUs of the Ray cluster: what sizes input units, partition counts
+    and reduce packing. Starts Ray first, as its first task would, when no
+    session exists: a guessed count would size a store's partitions for a
+    cluster that is not there."""
+    if not ray.is_initialized():
+        ray.init()
+    return int(ray.cluster_resources()["CPU"])
 
 
 def auto_shuffle_partitions() -> int:

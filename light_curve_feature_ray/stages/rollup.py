@@ -5,8 +5,9 @@ Pipeline shape (SURVEY.md §3, §7):
 1. ``derive``: stateless, over zero-copy Arrow — project each turn to
    (conv_id, turn_idx, ts_us, m=len(text), w=1.0) and assign a partition
    id ``part = hash64(conv_id) % P``. Hot conversations (detected by an
-   exact count pass whose partial counts are summed in the same routed
-   shape, :func:`detect_hot_convs`, and broadcast via ``ray.put``) are
+   exact count pass whose partial counts are summed by one task, or in
+   the same routed shape when there are many, :func:`detect_hot_convs`,
+   and broadcast via ``ray.put``) are
    salted: their part key also mixes ``day // salt_window_days``, spreading
    a huge conversation across partitions by time range. Tier buckets are at
    most 1 day and salt ranges are whole days, so no bucket ever spans two
@@ -56,7 +57,7 @@ import ray
 from ..codec import gorilla
 from ..features.extractor import FeatureExtractor
 from ..features.grouped import GroupedSuite
-from .exchange import PART_ROWS, dataset_blocks, route, split_by_part
+from .exchange import PART_ROWS, cluster_cpus, dataset_blocks, route, split_by_part
 
 US_PER_MIN = 60_000_000
 MIN_PER_DAY = 1440  # salt windows are whole days
@@ -181,15 +182,6 @@ class RollupConfig:
         }
 
 
-def _cluster_cpus() -> int:
-    """CPUs of the Ray cluster. Starts Ray first, as its first task would,
-    when no session exists: a guessed count would size a store's
-    partitions for a cluster that is not there."""
-    if not ray.is_initialized():
-        ray.init()
-    return int(ray.cluster_resources()["CPU"])
-
-
 def auto_num_partitions(
     n_rows: int,
     num_cpus: int | None = None,
@@ -205,32 +197,30 @@ def auto_num_partitions(
     partition reproduces the measured-optimal P=96 for the 9.5M-turn bench
     (BASELINE.md) while scaling linearly with the input."""
     if num_cpus is None:
-        num_cpus = _cluster_cpus()
+        num_cpus = cluster_cpus()
     by_rows = -(-int(n_rows) // target_rows) if n_rows > 0 else 1
     parts = max(by_rows, 2 * num_cpus)
     parts = min(parts, max(-(-int(n_rows) // 1_000), 1), max_parts)
     return max(parts, 1)
 
 
-#: most rows of one input unit: the rows one map task of ``run_rollup_job``
-#: reads (``pipelines.rollup.input_units``). Unmeasured: no benchmark
-#: workload reaches it (their files hold 15 000 turns each).
-ROWS_PER_BLOCK = 250_000
-
-
 @dataclass(frozen=True)
 class InputUnit:
-    """A range of one parquet file's row groups: the input of one map
-    task of the rollup or its hot pre-pass (``pipelines.rollup.input_units``
-    makes them from parquet metadata)."""
+    """Consecutive row groups of the input, in sorted file order, possibly
+    spanning files: the input of one map task of the rollup or its hot
+    pre-pass (``pipelines.rollup.input_units`` makes them from parquet
+    metadata). ``runs`` holds one ``(path, row_groups)`` pair per file."""
 
-    path: str
-    row_groups: tuple[int, ...]
+    runs: tuple[tuple[str, tuple[int, ...]], ...]
     rows: int
 
     def read(self, columns: list[str] | None) -> pa.Table:
-        with pq.ParquetFile(self.path) as f:
-            return f.read_row_groups(list(self.row_groups), columns=columns)
+        """The unit's rows, its runs read and concatenated in order."""
+        tables = []
+        for path, row_groups in self.runs:
+            with pq.ParquetFile(path) as f:
+                tables.append(f.read_row_groups(list(row_groups), columns=columns))
+        return pa.concat_tables(tables, promote_options="permissive")
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +246,35 @@ def hash_strings(arr: pa.Array | pa.ChunkedArray, seed: int = 0) -> np.ndarray:
 
 
 def assign_parts(
-    conv: np.ndarray,
     h: np.ndarray,
     ts_us: np.ndarray,
     config: "RollupConfig",
-    hot: set,
+    is_hot: np.ndarray | None,
 ) -> np.ndarray:
     """Partition assignment shared by DeriveAssign and the incremental
     update path (pipelines/update.py): plain ``hash % P`` for normal
-    conversations, day-window-salted mixing for hot ones — rows of a hot
-    conv spread over partitions by time window, and the worker's
+    conversations, day-window-salted mixing for hot ones (``is_hot``, a
+    boolean mask over the rows, or None when no conv is hot) — rows of a
+    hot conv spread over partitions by time window, and the worker's
     salt-window-truncated gap-fill keeps results partition-invariant."""
     part = (h % np.uint64(config.num_partitions)).astype(np.int32)
-    if hot:
-        is_hot = np.isin(conv, list(hot))
-        if is_hot.any():
-            days = (ts_us // (86_400 * 1_000_000)).astype(np.uint64)
-            salt = days // np.uint64(config.salt_window_days)
-            mixed = (h ^ (salt * np.uint64(0x9E3779B97F4A7C15))) % np.uint64(
-                config.num_partitions
-            )
-            part = np.where(is_hot, mixed.astype(np.int32), part)
+    if is_hot is not None and is_hot.any():
+        days = (ts_us // (86_400 * 1_000_000)).astype(np.uint64)
+        salt = days // np.uint64(config.salt_window_days)
+        mixed = (h ^ (salt * np.uint64(0x9E3779B97F4A7C15))) % np.uint64(
+            config.num_partitions
+        )
+        part = np.where(is_hot, mixed.astype(np.int32), part)
     return part
+
+
+def hot_mask(conv: pa.Array | pa.ChunkedArray, hot) -> np.ndarray | None:
+    """Which values of the string column ``conv`` are in ``hot``, as a
+    boolean array for :func:`assign_parts`; None for an empty ``hot``."""
+    if not hot:
+        return None
+    value_set = pa.array(list(hot), type=pa.string())
+    return pc.is_in(conv, value_set=value_set).to_numpy(zero_copy_only=False)
 
 
 #: bound of ``turn_idx``: the worker sorts on ``(code << 32) | turn_idx``
@@ -310,13 +307,10 @@ class DeriveAssign:
         )
         h = hash_strings(batch["conv_id"])
         part = assign_parts(
-            batch["conv_id"].to_numpy(zero_copy_only=False)
-            if self.hot
-            else np.empty(0),
             h,
             ts_us.to_numpy(zero_copy_only=False),
             cfg,
-            self.hot,
+            hot_mask(batch["conv_id"], self.hot),
         )
         return pa.table(
             {
@@ -495,11 +489,12 @@ def detect_hot_convs(source, threshold: int):
 
     One plain task per map input (a unit, or a non-empty block of the
     Dataset, stages/exchange.py) yields one (conv_id, cnt) partial row
-    per conv it holds. The partials then take the rollup's routed
-    shape: one task per input splits them by conv_id hash into
+    per conv it holds. The partials are summed in
     ``ceil(partial rows / HOT_ROWS_PER_TASK)`` parts (at most one per
-    input), and one summing task per part returns its convs that reach
-    ``threshold``. Nothing is summed on the driver.
+    input), one summing task per part returning its convs that reach
+    ``threshold``. One part takes every partial as it is; more take the
+    rollup's routed shape, one task per input splitting its partials by
+    conv_id hash. Nothing is summed on the driver.
     """
     from ray.data import Dataset
 
@@ -510,9 +505,12 @@ def detect_hot_convs(source, threshold: int):
     if not n_partials:
         return []
     num_parts = min(len(refs), -(-n_partials // HOT_ROWS_PER_TASK))
-    split = _route_partials.options(num_returns=num_parts + 1)
-    routed = route([split.remote(r, num_parts) for r in refs])
-    found = ray.get([_hot_of_part.remote(threshold, *p) for p in routed.values()])
+    if num_parts == 1:
+        parts = [refs]
+    else:
+        split = _route_partials.options(num_returns=num_parts + 1)
+        parts = route([split.remote(r, num_parts) for r in refs]).values()
+    found = ray.get([_hot_of_part.remote(threshold, *p) for p in parts])
     return [conv for convs in found for conv in convs]
 
 
@@ -629,13 +627,8 @@ class RollupWorker:
 
     def _hot_codes(self, dictionary: pa.Array) -> np.ndarray | None:
         """Boolean mask over dictionary codes: which convs are hot."""
-        if not self.hot:
-            return None
-        value_set = pa.array(list(self.hot), type=dictionary.type)
-        mask = pc.is_in(dictionary, value_set=value_set).to_numpy(
-            zero_copy_only=False
-        )
-        return mask if mask.any() else None
+        mask = hot_mask(dictionary, self.hot)
+        return mask if mask is not None and mask.any() else None
 
     def _tier_table(
         self,

@@ -11,7 +11,8 @@ engine-side design):
         _manifest.json              # completion marker + stage record
 
 ``run_rollup_job`` runs the rollup on plain Ray tasks, with no Dataset:
-parquet metadata splits the input into units (row-group ranges, see
+parquet metadata splits the input into units (consecutive row groups
+packed across files, one per cluster CPU unless the input is large, see
 ``pipelines.rollup.input_units``); one count task per unit feeds the hot
 pre-pass, one map task per unit reads, derives, packs and splits its rows
 by partition, and one reduce task per partition runs the worker with

@@ -43,8 +43,8 @@ def test_job_writes_manifests_and_resumes(ray_session, synth_dir, tmp_path):
     parts = completed_partitions(out)
     assert parts == set(summary["partitions_written"])
     assert summary["rows_written"] > 0
-    # one map task per input file (one row group each), one reduce task
-    # per partition written
+    # one map task per input unit (4 CPUs, capped by the 3 files' one row
+    # group each), one reduce task per partition written
     assert summary["map_tasks"] == 3
     assert summary["reduce_tasks"] == len(parts)
     # manifests carry lineage + metrics
@@ -337,37 +337,58 @@ def _store(out: str, parts) -> pd.DataFrame:
     )
 
 
-def test_job_units_from_row_groups_and_files(ray_session, tmp_path, monkeypatch):
-    """Input units are row-group ranges of one file, at most
-    ROWS_PER_BLOCK rows; the job over one file with several row groups
-    and over a directory of files writes the in-process reference's
-    rows, with one map task per unit."""
+def test_job_units_pack_row_groups_across_files(ray_session, tmp_path, monkeypatch):
+    """Input units pack consecutive row groups across files, in sorted
+    file order: max(ceil(rows / ROWS_PER_BLOCK), cluster CPUs) units, at
+    most one per row group, none splitting a row group, and a row group
+    over a unit's share of the rows is a unit of its own. The job writes
+    the in-process reference's rows with one map task per unit."""
     import pyarrow.parquet as pq
 
     from light_curve_feature_ray.pipelines import rollup as rp
     from light_curve_feature_ray.state.checkpoint import run_rollup_job
 
-    path, table, _ = _interleaved_redelivered(tmp_path)
+    def groups(units):
+        return [(f, g) for u in units for f, gs in u.runs for g in gs]
+
+    # the 4-CPU session: 8 one-row-group files give 4 units of 2 files
+    path, table, _ = _interleaved_redelivered(tmp_path, shards=8)
+    files = rp.parquet_files(path)
+    units = rp.input_units(path)
+    assert [u.runs for u in units] == [
+        ((files[i], (0,)), (files[i + 1], (0,))) for i in range(0, 8, 2)
+    ]
+    assert sum(u.rows for u in units) == table.num_rows
+
     one = str(tmp_path / "one.parquet")
     pq.write_table(table, one, row_group_size=100)
-    n_groups = -(-table.num_rows // 100)
-    assert n_groups > 4
-    monkeypatch.setattr(rp, "ROWS_PER_BLOCK", 250)
-    units = rp.input_units(one)
-    assert len(units) == -(-n_groups // 2)
-    assert [u.row_groups for u in units[:2]] == [(0, 1), (2, 3)]
-    assert sum(u.rows for u in units) == table.num_rows
-    assert all(u.rows <= 250 for u in units)
-    # a row group above the ceiling is a unit of its own
-    monkeypatch.setattr(rp, "ROWS_PER_BLOCK", 50)
-    assert len(rp.input_units(one)) == n_groups
-    monkeypatch.setattr(rp, "ROWS_PER_BLOCK", 250)
+    meta = pq.read_metadata(one)
+    n_groups = meta.num_row_groups
+    sizes = [meta.row_group(g).num_rows for g in range(n_groups)]
+    for rows_per_block, n_units in ((250_000, 4), (250, 6), (50, n_groups)):
+        monkeypatch.setattr(rp, "ROWS_PER_BLOCK", rows_per_block)
+        units = rp.input_units(one)
+        rule = max(-(-table.num_rows // rows_per_block), 4)
+        assert len(units) == min(rule, n_groups) == n_units
+        assert groups(units) == [(one, g) for g in range(n_groups)]
+        assert [u.rows for u in units] == [
+            sum(sizes[g] for _, g in groups([u])) for u in units
+        ]
+    # a row group over a share (800 / 4 rows) is a unit of its own
+    sizes = [50, 50, 600, 50, 50]
+    with pq.ParquetWriter(str(tmp_path / "big.parquet"), table.schema) as w:
+        for a, n in zip(np.cumsum([0] + sizes), sizes):
+            w.write_table(table.slice(a, n))
+    big = rp.input_units(str(tmp_path / "big.parquet"))
+    assert [u.rows for u in big] == [100, 600, 100]
 
     cfg = RollupConfig(
         features=("observation_count", "mean"), num_partitions=3, hot_threshold=400
     )
     want = None
-    for src, n_units in ((one, len(units)), (path, 4)):
+    for src, rows_per_block, n_units in ((one, 250, 6), (path, 250_000, 4)):
+        monkeypatch.setattr(rp, "ROWS_PER_BLOCK", rows_per_block)
+        assert len(rp.input_units(src)) == n_units
         out = str(tmp_path / f"out-{n_units}")
         summary = run_rollup_job(src, out, cfg)
         assert summary["map_tasks"] == n_units
@@ -378,6 +399,44 @@ def test_job_units_from_row_groups_and_files(ray_session, tmp_path, monkeypatch)
             want = _canonical(rp.rollup_table(table, cfg, hot_list=hot))
         got = _store(out, summary["partitions_written"])
         pd.testing.assert_frame_equal(got[want.columns], want)
+
+
+def test_job_bytes_do_not_depend_on_units(ray_session, tmp_path, monkeypatch):
+    """The same rows as 8 files, as 1 file of 8 row groups, and as 1 file
+    of small row groups split into many units give byte-identical
+    partition files: a partition's bytes depend on its rows, not on how
+    the input is cut into map tasks."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from light_curve_feature_ray.pipelines import rollup as rp
+    from light_curve_feature_ray.state.checkpoint import run_rollup_job
+
+    files, table, _ = _interleaved_redelivered(tmp_path, shards=8)
+    step = pq.read_metadata(rp.parquet_files(files)[0]).num_rows
+    cfg = RollupConfig(
+        features=("observation_count", "mean"), num_partitions=3, hot_threshold=400
+    )
+    src = str(tmp_path / "in")  # one input path: the lineage in the footer names it
+    layouts = {"files": 4, "row_groups": 4, "many_units": 13}
+    stores = {}
+    for name, n_units in layouts.items():
+        shutil.rmtree(src, ignore_errors=True)
+        if name == "files":
+            shutil.copytree(files, src)
+        else:
+            os.makedirs(src)
+            size = step if name == "row_groups" else 100
+            pq.write_table(table, os.path.join(src, "all.parquet"), row_group_size=size)
+        monkeypatch.setattr(rp, "ROWS_PER_BLOCK", 100 if name == "many_units" else 250_000)
+        out = str(tmp_path / f"out-{name}")
+        assert run_rollup_job(src, out, cfg)["map_tasks"] == n_units
+        stores[name] = [
+            Path(out, f"part={p}", "data.parquet").read_bytes()
+            for p in range(cfg.num_partitions)
+        ]
+    assert stores["files"] == stores["row_groups"] == stores["many_units"]
 
 
 def test_job_runs_without_ray_data(ray_session, tmp_path, monkeypatch):

@@ -572,6 +572,50 @@ def test_worker_cache_keys_on_hot_set_content(ray_session):
     rp._HOT_CACHE.clear()
 
 
+def test_hot_mask_parts_match_python_string_rule():
+    """DeriveAssign and the update's ``_old_points`` take the hot mask from
+    Arrow (``hot_mask``); their ``part`` equals the rule on Python
+    strings: ``hash % P``, and for a hot conv the hash mixed with its
+    day window. The mix holds hot and normal convs and a hot id that no
+    row carries; several days so salting spreads the hot convs."""
+    from dataclasses import replace
+
+    from light_curve_feature_ray.pipelines.update import _old_points
+    from light_curve_feature_ray.stages.rollup import DeriveAssign, hash_strings
+
+    tbl = synth_transcripts_table(
+        n_convs=10, mean_turns=40, hot_convs=2, hot_turns=600, mean_dt_seconds=1200, seed=11
+    )
+    sizes = tbl.to_pandas().groupby("conv_id").size().sort_values()
+    hot = list(sizes.index[-2:]) + ["no-such-conv"]
+    cfg = RollupConfig(
+        features=("observation_count",), num_partitions=7, salt_window_days=1,
+        hot_threshold=None,
+    )
+
+    def python_rule(conv: pa.Array, ts_us: np.ndarray) -> np.ndarray:
+        h = hash_strings(conv)
+        part = (h % np.uint64(7)).astype(np.int32)
+        is_hot = np.isin(conv.to_numpy(zero_copy_only=False), hot)
+        salt = (ts_us // (86_400 * 1_000_000)).astype(np.uint64)
+        mixed = (h ^ (salt * np.uint64(0x9E3779B97F4A7C15))) % np.uint64(7)
+        return np.where(is_hot, mixed.astype(np.int32), part)
+
+    derived = DeriveAssign(cfg, hot_list=hot)(tbl)
+    ts_us = tbl["ts"].cast(pa.int64()).to_numpy()
+    want = python_rule(tbl["conv_id"].combine_chunks(), ts_us)
+    np.testing.assert_array_equal(derived["part"].to_numpy(), want)
+    salted = np.isin(tbl["conv_id"].to_numpy(), hot)
+    assert len(set(want[salted])) > 1 and (~salted).any()
+
+    tiers = rollup_table(tbl, replace(cfg, num_partitions=1), hot_list=hot)
+    points = _old_points(tiers.filter(pc.equal(tiers["tier"], "1m")), cfg, set(hot))
+    conv = points["conv_id"].cast(pa.string()).combine_chunks()
+    want = python_rule(conv, points["ts_us"].to_numpy())
+    np.testing.assert_array_equal(points["part"].to_numpy(), want)
+    assert np.isin(conv.to_numpy(zero_copy_only=False), hot).any()
+
+
 def test_auto_num_partitions_rule():
     from light_curve_feature_ray.stages.rollup import auto_num_partitions
 
@@ -585,16 +629,17 @@ def test_auto_num_partitions_rule():
     assert auto_num_partitions(953_000_000, num_cpus=32) == 9530
 
 
-def test_detect_hot_convs_exact(ray_session, tmp_path):
-    """The routed hot pre-pass is exact: a conv spread evenly over
-    every block at exactly the threshold is hot, one row fewer is not.
-    Input units, an Arrow-block Dataset and a pandas-block Dataset of the
-    same rows give the same set."""
+def test_detect_hot_convs_exact(ray_session, tmp_path, monkeypatch):
+    """The hot pre-pass is exact: a conv spread evenly over every block
+    at exactly the threshold is hot, one row fewer is not. Input units,
+    an Arrow-block Dataset and a pandas-block Dataset of the same rows
+    give the same set, summed by one task straight from the partials and
+    on the routed path (forced through HOT_ROWS_PER_TASK)."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
     from light_curve_feature_ray.pipelines.rollup import input_units
-    from light_curve_feature_ray.stages.rollup import detect_hot_convs
+    from light_curve_feature_ray.stages import rollup as stages
 
     counts = {"spread": 40, "near": 39, "a": 7, "b": 1}
     pool = {c: n for c, n in counts.items()}
@@ -617,11 +662,28 @@ def test_detect_hot_convs_exact(ray_session, tmp_path):
             [frame.iloc[i : i + 11] for i in range(0, len(frame), 11)]
         ),
     }
-    for name, source in sources.items():
-        assert sorted(detect_hot_convs(source, 40)) == ["spread"], name
-        assert sorted(detect_hot_convs(source, 7)) == ["a", "near", "spread"], name
-        assert sorted(detect_hot_convs(source, 1)) == sorted(counts), name
-        assert detect_hot_convs(source, 41) == [], name
+    routed = []
+    route_partials = stages._route_partials
+
+    class Counted:
+        def options(self, **kwargs):
+            routed.append(True)
+            return route_partials.options(**kwargs)
+
+    monkeypatch.setattr(stages, "_route_partials", Counted())
+    for rows_per_task in (stages.HOT_ROWS_PER_TASK, 1):
+        monkeypatch.setattr(stages, "HOT_ROWS_PER_TASK", rows_per_task)
+        for name, source in sources.items():
+
+            def found(threshold):
+                return sorted(stages.detect_hot_convs(source, threshold))
+
+            assert found(40) == ["spread"], name
+            assert found(7) == ["a", "near", "spread"], name
+            assert found(1) == sorted(counts), name
+            assert found(41) == [], name
+        # the direct path routes nothing; the forced one routes every call
+        assert len(routed) == (0 if rows_per_task > 1 else 4 * len(sources))
 
 
 def test_detect_hot_convs_many_blocks(ray_session, monkeypatch):
