@@ -156,8 +156,8 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     from light_curve_feature_ray.pipelines.turns import clean_turns
 
     t0 = time.perf_counter()
-    # P=64 measured best for the parcel exchange (bigger zstd parcels
-    # than 128, better balance than 32)
+    # P=64, as in the routed-exchange A/B (BASELINE.md "One exchange
+    # for text too")
     clean_turns(read_transcripts(path, for_rollup=False), 64).count()
     timings["turns_clean"] = round(time.perf_counter() - t0, 3)
 

@@ -17,7 +17,6 @@ from ..stages.exchange import (
     auto_shuffle_partitions,
     reduce_by_key,
     reduce_by_part,
-    with_part,
 )
 
 
@@ -1513,7 +1512,6 @@ def group_collect(
     value_col: str = "text",
     sep: str = "\n",
     num_partitions: int | None = None,
-    exchange: str = "parcel",
 ):
     """Per-key ORDERED string concatenation — the training-document
     assembly primitive (turn streams -> one document per conversation,
@@ -1538,14 +1536,9 @@ def group_collect(
     one key's assembled doc must fit a task's heap (same bound as any
     per-key holistic op here).
 
-    ``exchange="parcel"`` (default) ships each block's per-partition
-    slice as ONE zstd-compressed Arrow-IPC parcel row — the turns_clean
-    trick: this operator's shuffle is byte-bandwidth-bound on the TEXT
-    column, exactly the case CLAUDE.md reserves the parcel exchange for
-    (measured: the raw-row exchange alone costs ~3.2 s of the 5.8 s
-    wall at sf0.1).  ``exchange="rows"`` keeps the plain exchange (use
-    for small/numeric value columns, where parcels measured 2x slower
-    on the rollup).  Output is identical either way.
+    Rows move through the exchange as they are, text included
+    (BASELINE.md "One exchange for text too" measures them against
+    zstd-compressed parcels).
     """
     import polars as pl
 
@@ -1589,66 +1582,10 @@ def group_collect(
             }
         )
 
-    if exchange not in ("parcel", "rows"):
-        raise ValueError(f"exchange must be 'parcel' or 'rows', got {exchange!r}")
-
-    if exchange == "rows":
-        return reduce_by_key(
-            ds,
-            key_col,
-            lambda t: per_partition(t.drop_columns(["part"])),
-            num_partitions,
-            "pyarrow",
-        )
-
-    nparts = num_partitions or auto_shuffle_partitions()
-    cols = [key_col, *ocols, value_col]
-
-    def pack(batch: pa.Table) -> pa.Table:
-        batch = batch.select(cols).combine_chunks()
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "part": pa.array([], type=pa.int32()),
-                    "payload": pa.array([], type=pa.large_binary()),
-                }
-            )
-        part = with_part(batch, key_col, nparts)["part"].to_numpy().astype(np.int64)
-        by_part = np.argsort(part, kind="stable")
-        sp = part[by_part]
-        starts = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
-        ends = np.r_[starts[1:], sp.shape[0]]
-        gathered = batch.take(pa.array(by_part))
-        # construct in-task: IpcWriteOptions doesn't cloudpickle as a
-        # captured closure variable
-        opts = pa.ipc.IpcWriteOptions(compression="zstd")
-        parts_out, payloads = [], []
-        for st, en in zip(starts, ends):
-            sub = gathered.slice(st, en - st)
-            sink = pa.BufferOutputStream()
-            with pa.ipc.new_stream(sink, sub.schema, options=opts) as w:
-                w.write_table(sub)
-            parts_out.append(int(sp[st]))
-            payloads.append(sink.getvalue().to_pybytes())
-        return pa.table(
-            {
-                "part": pa.array(parts_out, type=pa.int32()),
-                "payload": pa.array(payloads, type=pa.large_binary()),
-            }
-        )
-
-    def unpack_reduce(batch: pa.Table) -> pa.Table:
-        # a part group always carries >= 1 parcel row (reduce_by_part only
-        # fires for existing groups)
-        tables = [
-            pa.ipc.open_stream(p.as_py()).read_all()
-            for p in batch["payload"]
-        ]
-        # permissive: a block whose value column is entirely null ships
-        # a null-typed parcel; promote it into the string schema
-        return per_partition(
-            pa.concat_tables(tables, promote_options="permissive")
-        )
-
-    parcels = ds.map_batches(pack, batch_format="pyarrow", batch_size=None)
-    return reduce_by_part(parcels, unpack_reduce, nparts, "pyarrow")
+    return reduce_by_key(
+        ds,
+        key_col,
+        lambda t: per_partition(t.drop_columns(["part"])),
+        num_partitions,
+        "pyarrow",
+    )

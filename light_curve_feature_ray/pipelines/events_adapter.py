@@ -21,8 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
-from ..stages.rollup import hash_strings
+from ..stages.exchange import reduce_by_key
 
 #: SQL CTE body producing the transcript view from `events` (oracle side).
 TRANSCRIPTS_SQL = """
@@ -41,21 +40,20 @@ def events_turns_dataset(sf_dir: str, num_partitions: int | None = None):
     (conv_id, turn_idx, role, text, tool, ts, part).
 
     turn_idx needs per-conversation ordering, so this performs the engine's
-    usual single hash shuffle and a per-partition lexsort + cumcount.
-    ``num_partitions=None`` uses the cluster-aware default (driver
-    queries pin 16 for the fixed small inputs).
+    usual single hash shuffle (``reduce_by_key`` on ``conv_id``) and a
+    per-partition lexsort + cumcount. ``num_partitions=None`` uses the
+    cluster-aware default (driver queries pin 16 for the fixed small
+    inputs).
     """
-    num_partitions = num_partitions or auto_shuffle_partitions()
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "event_type", "props"],
     )
 
-    def assign(batch: pa.Table) -> pa.Table:
+    def derive(batch: pa.Table) -> pa.Table:
         conv = pc.binary_join_element_wise(
             "c", pc.cast(batch["user_id"], pa.string()), ""
         )
-        part = (hash_strings(conv) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
                 "conv_id": conv,
@@ -64,7 +62,6 @@ def events_turns_dataset(sf_dir: str, num_partitions: int | None = None):
                 "role": batch["event_type"],
                 "text": batch["props"],
                 "tool": batch["event_type"],
-                "part": pa.array(part, type=pa.int32()),
             }
         )
 
@@ -86,7 +83,7 @@ def events_turns_dataset(sf_dir: str, num_partitions: int | None = None):
             ["conv_id", "turn_idx", "role", "text", "tool", "ts", "part"]
         )
 
-    withpart = ds.map_batches(
-        assign, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    turns = ds.map_batches(
+        derive, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    return reduce_by_part(withpart, number_turns, num_partitions, "pyarrow")
+    return reduce_by_key(turns, "conv_id", number_turns, num_partitions, "pyarrow")

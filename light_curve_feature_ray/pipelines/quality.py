@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_part, with_part
 
 _NO_ID = np.int64(2**62)  # the first_event_latency absent-side sentinel
 
@@ -336,8 +336,6 @@ def profile_table(
         num_partial, batch_format="pyarrow", batch_size=None
     )
 
-    from ..stages.rollup import hash_strings
-
     dist_parts = num_partitions or auto_shuffle_partitions()
 
     def dist_pairs(batch: pa.Table) -> pa.Table:
@@ -366,12 +364,7 @@ def profile_table(
                     "val": sv,
                 }
             ).group_by(["ci", "val"]).aggregate([])
-            part = (
-                hash_strings(t["val"]) % np.uint64(dist_parts)
-            ).astype(np.int32)
-            parts.append(
-                t.append_column("part", pa.array(part, type=pa.int32()))
-            )
+            parts.append(with_part(t, "val", dist_parts))
         return pa.concat_tables(parts)
 
     def dist_count(t: pa.Table) -> pa.Table:

@@ -1003,36 +1003,24 @@ def _segment_pairs(starts: np.ndarray, sizes: np.ndarray):
     return starts[pg] + ii, starts[pg] + jj
 
 
-def _hash_mod_part(batch: pd.DataFrame, cols, num_partitions: int) -> pd.DataFrame:
-    """Append an int32 ``part`` column = polynomial mix of ``cols`` (viewed
-    as uint64) mod ``num_partitions`` — the one shared spelling of the
-    hash-partition key used by every pair-explosion stage."""
+def _hash_mod_part(batch, cols, num_partitions: int):
+    """``batch`` (a pandas DataFrame or an Arrow table) with an int32
+    ``part`` column = polynomial mix of ``cols`` (viewed as uint64) mod
+    ``num_partitions`` — the one integer-key partitioner of every
+    pair-explosion stage."""
     acc = np.zeros(len(batch), dtype=np.uint64)
     for c in cols:
-        v = batch[c].to_numpy()
+        v = np.asarray(batch[c])
         # 64-bit columns reinterpret (sign-preserving across engines is
         # irrelevant here — any stable mix works); narrower ints upcast
         v = v.view(np.uint64) if v.dtype.itemsize == 8 else v.astype(np.uint64)
         acc = acc * _POLY + v
+    part = (acc % np.uint64(num_partitions)).astype(np.int32)
+    if isinstance(batch, pa.Table):
+        return batch.append_column("part", pa.array(part))
     batch = batch.copy()
-    batch["part"] = (acc % np.uint64(num_partitions)).astype(np.int32)
+    batch["part"] = part
     return batch
-
-
-def _hash_mod_part_arrow(
-    batch: pa.Table, cols, num_partitions: int
-) -> pa.Table:
-    """Arrow twin of :func:`_hash_mod_part` (same mix, same partitions) —
-    for stages that stay pyarrow end-to-end."""
-    acc = np.zeros(batch.num_rows, dtype=np.uint64)
-    for c in cols:
-        v = batch[c].to_numpy(zero_copy_only=False)
-        v = v.view(np.uint64) if v.dtype.itemsize == 8 else v.astype(np.uint64)
-        acc = acc * _POLY + v
-    return batch.append_column(
-        "part",
-        pa.array((acc % np.uint64(num_partitions)).astype(np.int32)),
-    )
 
 
 def _segment_bounds(*keys: np.ndarray):
@@ -1214,7 +1202,7 @@ def _lsh_candidate_pairs(
     buckets = docs_ds.map_batches(
         explode_bands, batch_format="pyarrow", batch_size=None
     ).map_batches(
-        lambda b: _hash_mod_part_arrow(
+        lambda b: _hash_mod_part(
             b, ["band_hash", "band"], num_partitions
         ),
         batch_format="pyarrow",
@@ -1374,7 +1362,7 @@ def _attach_pair_texts(
         )
 
     tagged = cand_texts.union(sides).map_batches(
-        lambda b: _hash_mod_part_arrow(b, ["doc_id"], num_partitions),
+        lambda b: _hash_mod_part(b, ["doc_id"], num_partitions),
         batch_format="pyarrow",
         batch_size=None,
     )
@@ -1777,7 +1765,7 @@ def _ngram_counted_pairs(docs_ds, k: int, max_df: int):
     grams = docs_ds.map_batches(
         explode_grams, batch_format="pyarrow", batch_size=None
     ).map_batches(
-        lambda b: _hash_mod_part_arrow(b, ["gram"], num_partitions),
+        lambda b: _hash_mod_part(b, ["gram"], num_partitions),
         batch_format="pyarrow",
         batch_size=None,
     )
@@ -2116,7 +2104,7 @@ def simhash_dups(
     rows = docs_ds.map_batches(
         explode, batch_format="pyarrow", batch_size=None
     ).map_batches(
-        lambda b: _hash_mod_part_arrow(
+        lambda b: _hash_mod_part(
             b, ["band_val", "band"], num_partitions
         ),
         batch_format="pyarrow",

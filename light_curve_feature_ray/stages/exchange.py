@@ -25,8 +25,9 @@ reduce task per part. Every other keyed step goes through
 column into ``part`` first): the contract of Ray Data's ``map_groups``
 over ``part``, on the same map tasks and ``route``, with contiguous parts
 packed into as few reduce tasks as the cluster's CPUs and
-:data:`PART_ROWS` allow. :func:`cluster_cpus` is the one reader of the
-cluster's size.
+:data:`PART_ROWS` allow. :func:`with_part` is the one partitioner of a
+string key outside the rollup's salted ``assign_parts``.
+:func:`cluster_cpus` is the one reader of the cluster's size.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ PART_ROWS = 100_000
 def split_by_part(table: pa.Table, num_parts: int, skip: Iterable[int] = ()) -> list:
     """``[rows of part 0, ..., rows of part P-1, row counts]``; a part in
     ``skip`` gets no rows and a count of 0."""
+    # one chunk per column (free when it already is): a take over several
+    # chunks concatenates them first, so P takes would copy the table P times
+    table = table.combine_chunks()
     part = table["part"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(part, kind="stable")
     counts = np.bincount(part, minlength=num_parts)
@@ -62,10 +66,13 @@ def split_by_part(table: pa.Table, num_parts: int, skip: Iterable[int] = ()) -> 
     return pieces + [counts.tolist()]
 
 
-def route(outputs: Sequence[Sequence]) -> dict[int, list]:
+def route(outputs: Sequence[Sequence], counts: Sequence | None = None) -> dict[int, list]:
     """Per part with rows, the refs of its non-empty pieces in input
-    order, from the ``P + 1`` return refs of each map-side task."""
-    counts = ray.get([out[-1] for out in outputs])
+    order, from the ``P + 1`` return refs of each map-side task. The
+    count lists are fetched here unless the caller passes them as
+    ``counts``."""
+    if counts is None:
+        counts = ray.get([out[-1] for out in outputs])
     routed: dict[int, list] = {}
     for out, block_counts in zip(outputs, counts):
         for p in np.flatnonzero(block_counts):
@@ -73,13 +80,23 @@ def route(outputs: Sequence[Sequence]) -> dict[int, list]:
     return dict(sorted(routed.items()))
 
 
-def dataset_blocks(ds) -> Iterator:
+def dataset_blocks(ds, preserve_order: bool = False) -> Iterator:
     """The refs of ``ds``'s non-empty blocks, each yielded as soon as it
-    is produced: the map inputs of a Dataset. Executes ``ds``."""
-    for bundle in ds.iter_internal_ref_bundles():
-        for block, meta in bundle.blocks:
-            if meta.num_rows != 0:
-                yield block
+    is produced: the map inputs of a Dataset. Executes ``ds``. With
+    ``preserve_order`` they come in the Dataset's block order instead
+    (Ray Data's ``preserve_order`` execution option, set for this
+    execution only), so a consumer that concatenates them does not
+    depend on which block finished first."""
+    options = ds.context.execution_options
+    kept = options.preserve_order
+    options.preserve_order = kept or preserve_order
+    try:
+        for bundle in ds.iter_internal_ref_bundles():
+            for block, meta in bundle.blocks:
+                if meta.num_rows != 0:
+                    yield block
+    finally:
+        options.preserve_order = kept
 
 
 def cluster_cpus() -> int:
@@ -156,8 +173,9 @@ def _reduce(ds, key_col: str | None, fn, num_parts: int, batch_format: str):
 
     split = _split_block.options(num_returns=num_parts + 1)
     outputs = [split.remote(b, key_col, num_parts) for b in dataset_blocks(ds)]
-    rows = np.sum(ray.get([out[-1] for out in outputs]), axis=0)
-    routed = route(outputs)
+    counts = ray.get([out[-1] for out in outputs])
+    rows = np.sum(counts, axis=0)
+    routed = route(outputs, counts)
     pieces = list(routed.values())
     tasks = min(cluster_cpus(), len(pieces))
     runs = _pack([rows[p] for p in routed], tasks, PART_ROWS)

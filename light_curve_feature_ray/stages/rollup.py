@@ -57,7 +57,14 @@ import ray
 from ..codec import gorilla
 from ..features.extractor import FeatureExtractor
 from ..features.grouped import GroupedSuite
-from .exchange import PART_ROWS, cluster_cpus, dataset_blocks, route, split_by_part
+from .exchange import (
+    PART_ROWS,
+    cluster_cpus,
+    dataset_blocks,
+    route,
+    split_by_part,
+    with_part,
+)
 
 US_PER_MIN = 60_000_000
 MIN_PER_DAY = 1440  # salt windows are whole days
@@ -464,11 +471,9 @@ def _count_unit(source) -> tuple[pa.Table, int]:
 
 @ray.remote
 def _route_partials(block: pa.Table, num_parts: int) -> list:
-    """Split partial rows by ``hash(conv_id) % num_parts``."""
-    part = hash_strings(block["conv_id"].cast(pa.string())) % np.uint64(num_parts)
-    return split_by_part(
-        block.append_column("part", pa.array(part.astype(np.int32))), num_parts
-    )
+    """Split partial rows by their ``conv_id``'s
+    :func:`~.exchange.with_part`."""
+    return split_by_part(with_part(block, "conv_id", num_parts), num_parts)
 
 
 @ray.remote

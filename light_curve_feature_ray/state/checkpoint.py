@@ -45,20 +45,13 @@ import time
 from statistics import median
 from typing import Any
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-from ..stages.exchange import dataset_blocks, route, split_by_part
-from ..stages.rollup import (
-    TIERS,
-    RollupConfig,
-    detect_hot_convs,
-    hash_strings,
-    input_rows,
-)
+from ..stages.exchange import dataset_blocks, route, split_by_part, with_part
+from ..stages.rollup import TIERS, RollupConfig, detect_hot_convs, input_rows
 
 
 def _manifest_path(out_dir: str, part: int) -> str:
@@ -351,14 +344,9 @@ def read_rollup_output(out_dir: str):
 @ray.remote
 def _assign_split(block, key_col: str, num_parts: int, skip: list) -> list:
     """Map task of :func:`write_dataset_partitioned`: one block → its rows
-    with ``part = hash(key_col) % num_parts``, split by part (the rows of
-    ``skip`` parts dropped)."""
-    table = input_rows(block)
-    key = table[key_col]
-    if not pa.types.is_string(key.type):
-        key = pc.cast(key, pa.string())
-    part = (hash_strings(key) % np.uint64(num_parts)).astype(np.int32)
-    return split_by_part(table.append_column("part", pa.array(part)), num_parts, skip)
+    with their :func:`~..stages.exchange.with_part` ``part``, split by
+    part (the rows of ``skip`` parts dropped)."""
+    return split_by_part(with_part(input_rows(block), key_col, num_parts), num_parts, skip)
 
 
 @ray.remote
@@ -388,10 +376,13 @@ def write_dataset_partitioned(
     partitions are dropped in the exchange's split — their bytes are never
     rewritten — and only the missing ones recompute, which is what makes
     a 100-TB write restartable after a mid-job failure. Partition assignment hashes
-    ``key_col`` with the engine's fixed deterministic hash, so the
-    row→partition map is identical across retries and cluster sizes
-    (same rule as the rollup; ``num_partitions`` is part of the output
-    identity and is recorded in every manifest).
+    ``key_col`` with the engine's fixed deterministic hash
+    (``stages.exchange.with_part``, which refuses a float key holding
+    NaN), so the row→partition map is identical across retries and
+    cluster sizes (same rule as the rollup; ``num_partitions`` is part
+    of the output identity and is recorded in every manifest). Each
+    partition's rows are written in block order, whichever block
+    finishes first, so its file's bytes are too.
 
     Returns a summary dict: partitions written, partitions skipped (the
     ones already complete), rows written.
@@ -409,9 +400,10 @@ def write_dataset_partitioned(
     base_lineage.setdefault("num_partitions", num_partitions)
     split = _assign_split.options(num_returns=num_partitions + 1)
     skip = sorted(done)
-    routed = route(
-        [split.remote(b, key_col, num_partitions, skip) for b in dataset_blocks(ds)]
-    )
+    # blocks in block order: each partition's rows, and so its bytes,
+    # come out the same whichever block finishes first
+    blocks = dataset_blocks(ds, preserve_order=True)
+    routed = route([split.remote(b, key_col, num_partitions, skip) for b in blocks])
     rows = ray.get(
         [
             _write_routed.remote(out_dir, part, base_lineage, *pieces)

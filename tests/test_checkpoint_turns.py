@@ -321,6 +321,42 @@ def test_dataset_sink_pandas_and_arrow_blocks(ray_session, tmp_path):
     assert [data(b, p) for p in range(4)] == want
 
 
+def test_dataset_sink_bytes_ignore_block_finish_order(ray_session, tmp_path):
+    """write_dataset_partitioned routes each partition's pieces in block
+    order: an input whose first block finishes last writes the same
+    data.parquet bytes as the same blocks finishing in order."""
+    import time
+
+    from light_curve_feature_ray.state.checkpoint import write_dataset_partitioned
+
+    blocks = [
+        pa.table(
+            {
+                "block": np.full(50, b, dtype=np.int64),
+                "key": [f"k{i % 13}" for i in range(50)],
+                "v": np.arange(b * 50, b * 50 + 50, dtype=np.int64),
+            }
+        )
+        for b in range(4)
+    ]
+
+    def slow_first(batch: pa.Table) -> pa.Table:
+        if batch["block"][0].as_py() == 0:
+            time.sleep(2.0)
+        return batch
+
+    def data(out, p):
+        return (Path(out) / f"part={p}" / "data.parquet").read_bytes()
+
+    outs = {}
+    for name, udf in (("in_order", lambda b: b), ("first_last", slow_first)):
+        ds = rd.from_arrow(blocks).map_batches(udf, batch_format="pyarrow", batch_size=None)
+        outs[name] = str(tmp_path / name)
+        write_dataset_partitioned(ds, outs[name], key_col="key", num_partitions=3)
+    for p in range(3):
+        assert data(outs["first_last"], p) == data(outs["in_order"], p)
+
+
 def _canonical(table: pa.Table) -> pd.DataFrame:
     keys = ["conv_id", "tier", "bucket_ts"]
     return table.to_pandas().sort_values(keys).reset_index(drop=True)
@@ -466,17 +502,77 @@ def test_job_runs_without_ray_data(ray_session, tmp_path, monkeypatch):
 
 def test_package_has_one_exchange():
     """Every exchange on ``part`` goes through stages/exchange.py: no
-    module of the package runs Ray Data's sort-based groupby on it."""
+    module of the package runs Ray Data's sort-based groupby on it or
+    packs rows into Arrow IPC streams of its own, and the string hash is
+    called only by the rollup's salted assignment (stages/rollup.py),
+    ``with_part`` (stages/exchange.py) and the update's routing of a
+    dictionary (pipelines/update.py): every other string key takes its
+    part from ``with_part``."""
     import light_curve_feature_ray
 
     root = Path(light_curve_feature_ray.__file__).parent
+    hashers = {"stages/rollup.py", "stages/exchange.py", "pipelines/update.py"}
     hits = [
         f"{path.relative_to(root)}:{n}"
         for path in sorted(root.rglob("*.py"))
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if 'groupby("part")' in line
+        or "ipc.new_stream" in line
+        or ("hash_strings(" in line and path.relative_to(root).as_posix() not in hashers)
     ]
     assert not hits
+
+
+def test_string_key_parts_follow_with_part(ray_session, tmp_path, monkeypatch):
+    """events_turns_dataset, write_dataset_partitioned and clean_turns
+    route each row to the part ``with_part`` gives its key."""
+    import pyarrow.parquet as pq
+
+    from light_curve_feature_ray.pipelines import turns
+    from light_curve_feature_ray.pipelines.events_adapter import events_turns_dataset
+    from light_curve_feature_ray.stages.exchange import with_part
+    from light_curve_feature_ray.state.checkpoint import write_dataset_partitioned
+
+    def expect(table: pa.Table, key: str, num_parts: int) -> list:
+        return with_part(table.select([key]), key, num_parts)["part"].to_pylist()
+
+    n = 400
+    events = pa.table(
+        {
+            "event_id": np.arange(n, dtype=np.int64),
+            "ts": pa.array(np.arange(n) * 1_000_000 % 7_000_000, pa.timestamp("us")),
+            "user_id": np.arange(n, dtype=np.int64) * 7919 % 53,
+            "event_type": [f"e{i % 3}" for i in range(n)],
+            "props": [f"p{i}" for i in range(n)],
+        }
+    )
+    (tmp_path / "sf").mkdir()
+    pq.write_table(events, str(tmp_path / "sf" / "events.parquet"), row_group_size=90)
+    got = pa.Table.from_pandas(events_turns_dataset(str(tmp_path / "sf"), 7).to_pandas())
+    assert got.num_rows == n
+    assert got["part"].to_pylist() == expect(got, "conv_id", 7)
+
+    sink = str(tmp_path / "sink")
+    src = pa.table({"name": [f"doc-{i % 61}" for i in range(n)], "v": np.arange(n)})
+    write_dataset_partitioned(rd.from_arrow(src).repartition(3), sink, key_col="name", num_partitions=5)
+    for p in range(5):
+        rows = pq.read_table(os.path.join(sink, f"part={p}", "data.parquet"))
+        assert expect(rows, "name", 5) == [p] * rows.num_rows
+
+    dedup = turns._dedup_sort_partition
+
+    def tagged(batch: pa.Table) -> pa.Table:
+        # one call per part: tag its output rows with the part it ran on
+        out = dedup(batch)
+        return out.append_column("part", pa.array([batch["part"][0].as_py()] * out.num_rows, pa.int32()))
+
+    monkeypatch.setattr(turns, "_dedup_sort_partition", tagged)
+    table = synth_transcripts_table(**CFG)
+    got = pa.Table.from_pandas(
+        turns.clean_turns(rd.from_arrow(table).repartition(4), num_partitions=6).to_pandas()
+    )
+    assert got.num_rows == table.num_rows
+    assert got["part"].to_pylist() == expect(got, "conv_id", 6)
 
 
 def test_turns_passthrough_invariants(ray_session, synth_dir):

@@ -587,34 +587,64 @@ def test_profile_table_layout_invariance(ray_session):
     pd.testing.assert_frame_equal(outs[0], outs[1])
 
 
-def test_group_collect_parcel_rows_identical(ray_session):
+def _string_agg(rows: list, sep: str) -> pd.DataFrame:
+    """In-process ``string_agg(v, sep ORDER BY o, v)`` and ``count(v)``
+    per non-NULL ``k`` over ``(k, o, v)`` rows, NULL values skipped and a
+    key with no value given a NULL doc."""
+    keys = sorted({k for k, _, _ in rows if k is not None})
+    out = []
+    for key in keys:
+        vals = sorted((o, v) for k, o, v in rows if k == key and v is not None)
+        out.append((key, len(vals), sep.join(v for _, v in vals) if vals else None))
+    return pd.DataFrame(out, columns=["k", "n_values", "doc"])
+
+
+def test_group_collect_matches_python_string_agg(ray_session):
+    """group_collect equals an in-process string_agg at two block layouts
+    and two part counts, with a block whose value column is null-typed
+    (its key "b" also has values elsewhere, its key "n" none at all)."""
     from light_curve_feature_ray.pipelines.aggregates import group_collect
 
     rng = np.random.default_rng(61)
     n = 300
-    df = pd.DataFrame(
+    typed = pa.table(
         {
-            "conv_id": rng.choice(["a", "b", "c", None], n),
-            "turn_idx": rng.integers(0, 40, n),
-            "text": rng.choice(["xx", "yyy", None, "zzzz"], n),
+            "k": rng.choice(["a", "b", "c", None], n).tolist(),
+            "o": rng.integers(0, 40, n),
+            "v": rng.choice(["xx", "yyy", None, "zzzz"], n).tolist(),
         }
     )
-    outs = {}
-    for ex in ("rows", "parcel"):
-        outs[ex] = (
-            group_collect(
-                rd.from_pandas(df).repartition(4),
-                key_col="conv_id",
-                order_cols=("turn_idx",),
-                value_col="text",
-                num_partitions=6,
-                exchange=ex,
+    nulls = pa.table(
+        {
+            "k": ["b", "n", "n", None],
+            "o": np.array([3, 1, 2, 5], dtype=np.int64),
+            "v": pa.nulls(4),
+        }
+    )
+    assert pa.types.is_null(nulls.schema.field("v").type)
+    rows = list(zip(*(typed[c].to_pylist() + nulls[c].to_pylist() for c in "kov")))
+    want = _string_agg(rows, "\n")
+    layouts = {
+        "nulls_first": [nulls, typed],
+        "nulls_between": [typed.slice(0, 100), nulls, typed.slice(100, 120), typed.slice(220)],
+    }
+    for name, blocks in layouts.items():
+        for nparts in (3, 16):
+            got = (
+                group_collect(
+                    rd.from_arrow(blocks),
+                    key_col="k",
+                    order_cols=("o",),
+                    value_col="v",
+                    sep="\n",
+                    num_partitions=nparts,
+                )
+                .to_pandas()
+                .sort_values("k")
+                .reset_index(drop=True)
             )
-            .to_pandas()
-            .sort_values("conv_id")
-            .reset_index(drop=True)
-        )
-    pd.testing.assert_frame_equal(outs["rows"], outs["parcel"])
+            got["doc"] = [x if isinstance(x, str) else None for x in got["doc"]]
+            pd.testing.assert_frame_equal(got, want, check_dtype=False, obj=f"{name} P={nparts}")
 
 
 def test_gap_report_fuzz_vs_duckdb(ray_session):
