@@ -13,11 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.exchange import (
-    auto_shuffle_partitions,
-    reduce_by_key,
-    reduce_by_part,
-)
+from ..stages.exchange import reduce_by_key
 
 
 def _grouped_sums(
@@ -937,8 +933,6 @@ def audience_overlap(
     two-column distinct set."""
     from .text import _segment_pairs
 
-    num_partitions = auto_shuffle_partitions()
-
     def distinct_partial(batch: pa.Table) -> pa.Table:
         t = batch.select([cat_col, key_col])
         t = t.filter(
@@ -960,12 +954,6 @@ def audience_overlap(
             batch_size=None,
         )
     )
-
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_array(b[key_col].to_numpy(), categorize=False)
-        b = b.copy()
-        b["part"] = (h % np.uint64(num_partitions)).astype(np.int32)
-        return b
 
     def per_part(part: pd.DataFrame) -> pd.DataFrame:
         k = part[key_col].to_numpy()
@@ -1021,12 +1009,7 @@ def audience_overlap(
         return out
 
     tagged = (
-        reduce_by_part(
-            distinct.map_batches(assign, batch_format="pandas", batch_size=None),
-            lambda p: per_part(p.drop(columns=["part"])),
-            num_partitions,
-            "pandas",
-        )
+        reduce_by_key(distinct, key_col, per_part, None, "pandas")
         .groupby(["kind", "cat_a", "cat_b"])
         .sum("cnt")
         .repartition(1)

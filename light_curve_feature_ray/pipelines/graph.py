@@ -45,7 +45,7 @@ import logging
 import numpy as np
 import pandas as pd
 
-from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
+from ..stages.exchange import auto_shuffle_partitions, hash_mod_part, reduce_by_part
 
 logger = logging.getLogger(__name__)
 
@@ -213,11 +213,7 @@ def connected_components_min_label(
         )
 
     def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["part"] = (
-            batch["key"].to_numpy().view(np.uint64) % np.uint64(num_partitions)
-        ).astype(np.int32)
-        return batch
+        return hash_mod_part(batch, ["key"], num_partitions)
 
     def attach(grp: pd.DataFrame) -> pd.DataFrame:
         """ALL nodes of a hash partition at once: scatter each node's label
@@ -334,15 +330,7 @@ def triangle_counts(
         u, v = np.minimum(a, b), np.maximum(a, b)
         keep = u != v
         u, v = u[keep], v[keep]
-        return pd.DataFrame(
-            {
-                "u": u,
-                "part": (u.view(np.uint64) % np.uint64(num_partitions)).astype(
-                    np.int32
-                ),
-                "v": v,
-            }
-        )
+        return hash_mod_part(pd.DataFrame({"u": u, "v": v}), ["u"], num_partitions)
 
     edges = pairs_ds.map_batches(
         norm, batch_format="pandas", batch_size=None
@@ -396,11 +384,7 @@ def triangle_counts(
         )
 
     def repart(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["part"] = (
-            batch["w1"].to_numpy().view(np.uint64) % np.uint64(num_partitions)
-        ).astype(np.int32)
-        return batch
+        return hash_mod_part(batch, ["w1"], num_partitions)
 
     def close_and_count(grp: pd.DataFrame) -> pd.DataFrame:
         kind = grp["kind"].to_numpy()
@@ -604,15 +588,7 @@ def pagerank_undirected(
         a, b = a[keep], b[keep]
         u = np.concatenate([a, b])
         v = np.concatenate([b, a])
-        return pd.DataFrame(
-            {
-                "u": u,
-                "part": (u.view(np.uint64) % np.uint64(num_partitions)).astype(
-                    np.int32
-                ),
-                "v": v,
-            }
-        )
+        return hash_mod_part(pd.DataFrame({"u": u, "v": v}), ["u"], num_partitions)
 
     def dedup_and_deg(grp: pd.DataFrame) -> pd.DataFrame:
         # all out-edges of a source are in this partition -> the local
@@ -706,11 +682,7 @@ def pagerank_undirected(
         )
 
     def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["part"] = (
-            batch["key"].to_numpy().view(np.uint64) % np.uint64(num_partitions)
-        ).astype(np.int32)
-        return batch
+        return hash_mod_part(batch, ["key"], num_partitions)
 
     def contribute(grp: pd.DataFrame) -> pd.DataFrame:
         kind = grp["kind"].to_numpy()

@@ -41,8 +41,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
-from .text import _hash_mod_part
+from ..stages.exchange import (
+    auto_shuffle_partitions,
+    hash_mod_part,
+    reduce_by_key,
+    reduce_by_part,
+)
 
 
 def _nullable_dtype(arrow_type) -> str | None:
@@ -175,7 +179,7 @@ def _merge_join(
         return out
 
     tagged = left_t.union(right_t).map_batches(
-        lambda b: _hash_mod_part(b, [key_col], num_partitions),
+        lambda b: hash_mod_part(b, [key_col], num_partitions),
         batch_format="pandas",
         batch_size=None,
     )
@@ -451,15 +455,12 @@ def table_diff(
     feed the diff forward instead of reprocessing the full snapshot.
     """
     compare_cols = list(compare_cols)
-    num_partitions = num_partitions or auto_shuffle_partitions()
 
     def tag(side: int):
         def f(b: pd.DataFrame) -> pd.DataFrame:
             b = b[[key_col, *compare_cols]].copy()
             b = b[b[key_col].notna()]
             b["_side"] = np.int8(side)
-            h = pd.util.hash_array(b[key_col].to_numpy(), categorize=False)
-            b["part"] = (h % np.uint64(num_partitions)).astype(np.int32)
             return b
 
         return f
@@ -545,9 +546,4 @@ def table_diff(
             df = df[df["status"] != "unchanged"]
         return df
 
-    return reduce_by_part(
-        tagged,
-        lambda p: per_partition(p.drop(columns=["part"])),
-        num_partitions,
-        "pandas",
-    )
+    return reduce_by_key(tagged, key_col, per_partition, num_partitions, "pandas")

@@ -37,7 +37,7 @@ import numpy as np
 import pandas as pd
 import ray
 
-from ..stages.exchange import auto_shuffle_partitions, reduce_by_key, reduce_by_part
+from ..stages.exchange import reduce_by_key
 
 
 def _minmax_count(ds, col: str):
@@ -380,29 +380,20 @@ WHERE cum <= q * (n - 1) AND q * (n - 1) < cum + c
 
 def _grouped_order_stats(ds, group_col, col, qs, num_partitions, select):
     """Shared scaffolding of the exact per-group order statistics
-    (:func:`grouped_quantile_cont` / :func:`grouped_quantile_disc`):
-    null-key drop, the ONE group-key hash shuffle, and the per-partition
-    lexsort + segment-bounds kernel. ``select(v, starts, counts, q)``
-    returns the per-group value at quantile q over the NaN-filtered
-    sorted segments. The null-key / NaN / hash spellings here are
-    pinned by CLAUDE.md for BOTH variants — change once, both follow."""
+    (:func:`grouped_quantile_cont` / :func:`grouped_quantile_disc`): the
+    ONE keyed exchange on the group key (``reduce_by_key``), then per
+    part the null-key drop and the lexsort + segment-bounds kernel.
+    ``select(v, starts, counts, q)`` returns the per-group value at
+    quantile q over the NaN-filtered sorted segments. Both variants share
+    the null-key / NaN handling here — change once, both follow."""
     qs = np.array([float(q) for q in qs])
     if ((qs < 0) | (qs > 1)).any():
         raise ValueError("quantiles must be in [0, 1]")
-    num_partitions = num_partitions or auto_shuffle_partitions()
-
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        # NULL-key rows are DROPPED (mirror: WHERE key IS NOT NULL in SQL
-        # twins) — a None key would crash the per-partition lexsort
-        b = b.dropna(subset=[group_col])
-        # string-capable deterministic hash (fixed-key siphash), the same
-        # spelling top_k_per_group uses
-        h = pd.util.hash_array(b[group_col].to_numpy(), categorize=False)
-        b = b.copy()
-        b["part"] = (h % np.uint64(num_partitions)).astype(np.int32)
-        return b
 
     def per_part(part: pd.DataFrame) -> pd.DataFrame:
+        # NULL-key rows are DROPPED (mirror: WHERE key IS NOT NULL in SQL
+        # twins) — a None key would crash the lexsort
+        part = part[part[group_col].notna()]
         g = part[group_col].to_numpy()
         v = part[col].to_numpy(dtype=np.float64)
         ok = ~np.isnan(v)
@@ -428,12 +419,7 @@ def _grouped_order_stats(ds, group_col, col, qs, num_partitions, select):
             }
         )
 
-    return reduce_by_part(
-        ds.map_batches(assign, batch_format="pandas", batch_size=None),
-        lambda p: per_part(p.drop(columns=["part"])),
-        num_partitions,
-        "pandas",
-    )
+    return reduce_by_key(ds, group_col, per_part, num_partitions, "pandas")
 
 
 def grouped_quantile_cont(
@@ -583,15 +569,6 @@ def grouped_mad(
     Dataset of (group, med, mad)."""
     import pandas as pd
 
-    num_partitions = num_partitions or auto_shuffle_partitions()
-
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        ok = b[group_col].notna().to_numpy()
-        b = b[ok].copy()
-        h = pd.util.hash_array(b[group_col].to_numpy(), categorize=False)
-        b["part"] = (h % np.uint64(num_partitions)).astype(np.int32)
-        return b
-
     def _seg_median(v: np.ndarray, starts: np.ndarray, counts: np.ndarray):
         """Vectorized per-segment median of a segment-sorted value array
         (quantile_cont q=0.5 interpolation)."""
@@ -604,6 +581,7 @@ def grouped_mad(
         return lo * (1.0 - frac) + hi * frac
 
     def per_part(part: pd.DataFrame) -> pd.DataFrame:
+        part = part[part[group_col].notna()]
         g = part[group_col].to_numpy()
         v = part[col].to_numpy(dtype=np.float64)
         ok = ~np.isnan(v)
@@ -623,12 +601,7 @@ def grouped_mad(
         mad = _seg_median(dev[order2], starts, counts)
         return pd.DataFrame({group_col: g[starts], "med": med, "mad": mad})
 
-    return reduce_by_part(
-        ds.map_batches(assign, batch_format="pandas", batch_size=None),
-        lambda p: per_part(p.drop(columns=["part"])),
-        num_partitions,
-        "pandas",
-    )
+    return reduce_by_key(ds, group_col, per_part, num_partitions, "pandas")
 
 
 def mad_outliers(
@@ -727,22 +700,12 @@ def ks_drift(
     drift over unbounded keys.
     """
     from .sampling import lehmer_hash
-    num_partitions = num_partitions or auto_shuffle_partitions()
-
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.dropna(subset=[key_col, id_col])
-        h = pd.util.hash_array(b[key_col].to_numpy(), categorize=False)
-        b = b.copy()
-        b["part"] = (h % np.uint64(num_partitions)).astype(np.int32)
-        b["_ia"] = (
-            lehmer_hash(b[id_col].to_numpy(np.int64), seed) % 2 == 0
-        )
-        return b[[key_col, value_col, "part", "_ia"]]
 
     def per_part(part: pd.DataFrame) -> pd.DataFrame:
+        part = part.dropna(subset=[key_col, id_col])
         g = part[key_col].to_numpy()
         v = part[value_col].to_numpy(dtype=np.float64)
-        ia = part["_ia"].to_numpy(dtype=bool)
+        ia = lehmer_hash(part[id_col].to_numpy(np.int64), seed) % 2 == 0
         ok = ~np.isnan(v)
         g, v, ia = g[ok], v[ok], ia[ok]
         empty = pd.DataFrame(
@@ -792,12 +755,8 @@ def ks_drift(
             }
         )
 
-    return reduce_by_part(
-        ds.map_batches(assign, batch_format="pandas", batch_size=None),
-        lambda p: per_part(p.drop(columns=["part"])),
-        num_partitions,
-        "pandas",
-    )
+    rows = ds.select_columns([key_col, value_col, id_col])
+    return reduce_by_key(rows, key_col, per_part, num_partitions, "pandas")
 
 
 def grouped_histogram(

@@ -31,7 +31,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.exchange import auto_shuffle_partitions, reduce_by_key, reduce_by_part
+from ..stages.exchange import reduce_by_key, reduce_by_part
 
 # Lehmer / MINSTD constants (Park & Miller 1988): modulus 2**31 - 1,
 # multiplier 48271.  state < 2**31 and 48271 < 2**16 keep every product
@@ -193,35 +193,25 @@ def top_k_per_group(
 ):
     """Exact top-k rows per group by a numeric score, ties broken by
     ascending ``tiebreak_col``; emits a dense 1-based ``rk`` per group.
+    NULL-group rows are dropped (mirror: ``WHERE group IS NOT NULL``).
 
     Block-local combiner first (each block contributes <= k rows per
-    group), so the single ``groupby`` shuffle moves a k-bounded slice of
-    the corpus.  The reduce re-runs the identical kernel per hash
-    partition — associativity of top-k makes combiner+reduce exact.
+    group), so the one keyed exchange (``reduce_by_key`` on
+    ``group_col``) moves a k-bounded slice of the corpus.  The reduce
+    re-runs the identical kernel per part — associativity of top-k makes
+    combiner+reduce exact.
     """
-    num_partitions = num_partitions or auto_shuffle_partitions()
 
-    def _part(df: pd.DataFrame) -> pd.DataFrame:
-        # string-capable hash partition key (pd.util.hash_array is a fixed-
-        # key siphash: deterministic across processes; and the reduce is
-        # exact per group regardless of which partition a group lands in)
-        v = df[group_col].to_numpy()
-        h = pd.util.hash_array(v, categorize=False)
-        df = df.copy()
-        df["part"] = (h % np.uint64(num_partitions)).astype(np.int32)
-        return df
-
-    combined = ds.map_batches(
-        lambda b: _topk_frame(b, group_col, score_col, tiebreak_col, k, False),
-        batch_format="pandas",
-        batch_size=None,
-    ).map_batches(_part, batch_format="pandas", batch_size=None)
+    def _combine(df: pd.DataFrame) -> pd.DataFrame:
+        df = df[df[group_col].notna()]
+        return _topk_frame(df, group_col, score_col, tiebreak_col, k, False)
 
     def _reduce(part: pd.DataFrame) -> pd.DataFrame:
         out = _topk_frame(part, group_col, score_col, tiebreak_col, k, with_rank)
         return out.drop(columns=["part"])
 
-    return reduce_by_part(combined, _reduce, num_partitions, "pandas")
+    combined = ds.map_batches(_combine, batch_format="pandas", batch_size=None)
+    return reduce_by_key(combined, group_col, _reduce, num_partitions, "pandas")
 
 
 def hash_split(

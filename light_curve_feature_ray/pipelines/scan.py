@@ -10,7 +10,8 @@ sequential, but it is the classic two-phase parallel scan (Blelloch 1990):
    reduces those to ONE row per bucket; only that tiny table (``<=
    num_buckets`` rows) is collected on the driver, where the exclusive
    scan over bucket totals is a numpy one-liner.
-2. **Scan pass** — rows shuffle ONCE on their bucket (a range exchange,
+2. **Scan pass** — rows shuffle ONCE on their bucket (a range exchange:
+   ``stages.exchange.reduce_by_part`` with the bucket as ``part``,
    balanced whenever the order key is dense or a uniform hash), each
    bucket sorts locally by the full order key and adds its in-bucket
    exclusive cumsum to the driver-computed bucket offset.
@@ -33,8 +34,9 @@ Built on it:
   clusters, resumable, and SQL-checkable (``ROW_NUMBER() OVER (ORDER BY
   hash, id)``).
 
-Scale notes: the driver only ever holds ``num_buckets`` partial rows;
-everything else is ``map_batches`` + one ``groupby``.  Buckets are
+Scale notes: the driver only ever holds ``num_buckets`` partial rows
+(default ``auto_shuffle_partitions()``); everything else is
+``map_batches`` + one ``groupby`` + one routed exchange.  Buckets are
 contiguous key ranges, so skew follows the key distribution — dense ids
 and Lehmer hashes are uniform; pass a larger ``num_buckets`` for lumpy
 keys.
@@ -46,7 +48,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.exchange import cluster_cpus
+from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
 from .sampling import LEHMER_MOD, lehmer_hash
 
 
@@ -62,13 +64,6 @@ def _bucket_of(key: np.ndarray, lo: int, hi: int, num_buckets: int) -> np.ndarra
     )
     b = (off // np.uint64(width)).astype(np.int64)
     return np.clip(b, 0, num_buckets - 1)
-
-
-def _auto_buckets(min_buckets: int = 256) -> int:
-    """Default bucket count: 2 per cluster CPU, floored — buckets are the
-    scan-pass parallelism AND the per-task memory bound, so they must
-    grow with the cluster (same rule as the pair-explosion shuffles)."""
-    return max(min_buckets, 2 * cluster_cpus())
 
 
 def ordered_prefix_sum(
@@ -89,8 +84,7 @@ def ordered_prefix_sum(
     (the prefix travels as a column); sums must stay below 2**53.
     """
     key_col = order_cols[0]
-    if num_buckets is None:
-        num_buckets = _auto_buckets()
+    num_buckets = num_buckets or auto_shuffle_partitions()
     if key_lo is None:
         key_lo = int(ds.min(key_col))
     if key_hi is None:
@@ -127,7 +121,7 @@ def ordered_prefix_sum(
     def tag(batch: pa.Table) -> pa.Table:
         key = batch.column(key_col).to_numpy(zero_copy_only=False)
         b = _bucket_of(key, key_lo, key_hi, num_buckets)
-        return batch.append_column("bucket", pa.array(b.astype(np.int64)))
+        return batch.append_column("part", pa.array(b.astype(np.int32)))
 
     def scan_bucket(grp: pd.DataFrame) -> pd.DataFrame:
         cols = [grp[c].to_numpy() for c in order_cols]
@@ -138,15 +132,11 @@ def ordered_prefix_sum(
         else:
             v = grp[value_col].to_numpy().astype(np.int64)
         excl = np.concatenate(([0], np.cumsum(v)[:-1]))
-        base = int(offsets[int(grp["bucket"].iloc[0])]) if len(grp) else 0
-        grp[out_col] = base + excl
-        return grp.drop(columns=["bucket"])
+        grp[out_col] = int(offsets[int(grp["part"].iloc[0])]) + excl
+        return grp.drop(columns=["part"])
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(scan_bucket, batch_format="pandas")
-    )
+    tagged = ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
+    return reduce_by_part(tagged, scan_bucket, num_buckets, "pandas")
 
 
 def pack_sequences(
@@ -247,7 +237,7 @@ def rank_rows(
         keyed,
         order_cols=keyed_cols + [id_col],
         value_col=None,
-        num_buckets=num_buckets or _auto_buckets(1024),
+        num_buckets=num_buckets,
         out_col=out_col,
     )
     return ranked.map_batches(
@@ -284,11 +274,7 @@ def percent_rank_rows(
     """
     keyed_cols = [f"_ok{i}" for i in range(len(order_cols))]
     n_total = ds.count()
-    if num_buckets is None:
-        # the standard 2-per-CPU rule with the 256 floor: buckets are
-        # only sort units (ties can't straddle them at any count), and
-        # measured 3x faster than a 1024 floor on small clusters
-        num_buckets = _auto_buckets(256)
+    num_buckets = num_buckets or auto_shuffle_partitions()
 
     def add_keys(batch: pa.Table) -> pa.Table:
         for name, col in zip(keyed_cols, order_cols):
@@ -328,7 +314,7 @@ def percent_rank_rows(
     def tag(batch: pa.Table) -> pa.Table:
         key = batch.column(keyed_cols[0]).to_numpy(zero_copy_only=False)
         b = _bucket_of(key, key_lo, key_hi, num_buckets)
-        return batch.append_column("bucket", pa.array(b.astype(np.int64)))
+        return batch.append_column("part", pa.array(b.astype(np.int32)))
 
     denom = float(max(n_total - 1, 1))
 
@@ -341,20 +327,17 @@ def percent_rank_rows(
         run_start = np.flatnonzero(new_run)
         run_id = np.cumsum(new_run) - 1
         run_end = np.r_[run_start[1:], len(grp)]  # exclusive
-        base = int(offsets[int(grp["bucket"].iloc[0])]) if len(grp) else 0
+        base = int(offsets[int(grp["part"].iloc[0])])
         rnk = base + run_start[run_id] + 1
         grp["rnk"] = rnk
         grp["percent_rank"] = (rnk - 1).astype(np.float64) / denom
         grp["cume_dist"] = (base + run_end[run_id]).astype(np.float64) / float(
             n_total
         )
-        return grp.drop(columns=["bucket", *keyed_cols])
+        return grp.drop(columns=["part", *keyed_cols])
 
-    return (
-        keyed.map_batches(tag, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(scan_bucket, batch_format="pandas")
-    )
+    tagged = keyed.map_batches(tag, batch_format="pyarrow", batch_size=None)
+    return reduce_by_part(tagged, scan_bucket, num_buckets, "pandas")
 
 
 def ntile_of_rank(rank0: np.ndarray, n: int, k: int) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 - ``knn_cosine``: exact brute-force cosine top-k — the query matrix is
   broadcast once via ``ray.put``; each batch computes a numpy matmul
-  partial top-k, and a tiny groupby merges partials into the final top-k
+  partial top-k, and a tiny exchange merges partials into the final top-k
   (no all-to-all of the embedding table itself).
 - ``lsh_knn_cosine``: the scale path — random-hyperplane LSH buckets
   (seeded, deterministic); only same-bucket candidates are scored.
   Approximate; recall is tested against the exact path.
+
+Every exchange is ``stages.exchange``'s: ``reduce_by_part`` where the key
+is a small dense integer used as ``part`` itself (a query's position in
+the sorted query ids, an IVF / semantic-dedup cell, a block pair), and
+``reduce_by_key`` on LSH bucket keys.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import pandas as pd
 
 import ray
 
-from ..stages.exchange import cluster_cpus
+from ..stages.exchange import cluster_cpus, reduce_by_key, reduce_by_part
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -69,19 +74,12 @@ class _BatchTopK:
     flatten/reshape per block, never as per-row Python objects."""
 
     def __init__(self, query_ref, k: int):
-        import pyarrow as pa
-
         queries = ray.get(query_ref) if query_ref is not None else None
         self.q_ids = queries[0]
+        self.q_part = _query_parts(self.q_ids, self.q_ids)
         self.q_mat = _normalize(queries[1])  # (Q, d)
         self.k = k
-        self._empty = pa.table(
-            {
-                "query_id": pa.array([], type=pa.int64()),
-                "vec_id": pa.array([], type=pa.int64()),
-                "cosine": pa.array([], type=pa.float64()),
-            }
-        )
+        self._empty = _empty_candidates()
 
     def __call__(self, batch):
         import pyarrow as pa
@@ -102,8 +100,16 @@ class _BatchTopK:
                 "cosine": pa.array(
                     cos[np.repeat(np.arange(len(self.q_ids)), k), cols]
                 ),
+                "part": pa.array(np.repeat(self.q_part, k)),
             }
         )
+
+
+def _query_parts(q_ids: np.ndarray, query_id: np.ndarray) -> np.ndarray:
+    """The int32 ``part`` of a candidate row: its query's position in the
+    sorted query ids ``q_ids`` (equal ids share one), so the merge's
+    exchange gives every query a part of its own."""
+    return np.searchsorted(q_ids, query_id).astype(np.int32)
 
 
 def _final_topk(k: int):
@@ -135,9 +141,7 @@ def knn_cosine(emb_ds, n_queries: int = 5, k: int = 10):
         batch_format="pyarrow",
         concurrency=(1, 8),
     )
-    return partials.groupby("query_id").map_groups(
-        _final_topk(k), batch_format="pandas"
-    )
+    return reduce_by_part(partials, _final_topk(k), len(q_rows), "pandas")
 
 
 def _empty_candidates():
@@ -148,6 +152,7 @@ def _empty_candidates():
             "query_id": pa.array([], type=pa.int64()),
             "vec_id": pa.array([], type=pa.int64()),
             "cosine": pa.array([], type=pa.float64()),
+            "part": pa.array([], type=pa.int32()),
         }
     )
 
@@ -179,30 +184,38 @@ def _cand_empty():
 
 
 def _score_candidates_fn(ref, key_col: str):
-    """Shared LSH/IVF bucket scorer: one matmul of the bucket's members
-    against the queries mapped to this bucket key (Arrow-native)."""
+    """Shared LSH/IVF bucket scorer: for each bucket key in its input, one
+    matmul of the bucket's members against the queries mapped to that
+    key (Arrow-native); ``part`` is the query's (:func:`_query_parts`)."""
     import pyarrow as pa
 
-    def score(g: pa.Table) -> pa.Table:
+    def score(t: pa.Table) -> pa.Table:
         q_by_key, q_ids, q_mat = ray.get(ref)[:3]
-        if g.num_rows == 0:
-            return _empty_candidates()
-        key = int(g[key_col][0].as_py())
-        qs = q_by_key.get(key, [])
-        if not qs:
-            return _empty_candidates()
-        mat = _arrow_matrix(g["embedding"])
-        cos = q_mat[qs] @ mat.T
-        n = mat.shape[0]
-        return pa.table(
-            {
-                "query_id": pa.array(np.repeat(q_ids[np.asarray(qs)], n)),
-                "vec_id": pa.array(
-                    np.tile(g["vec_id"].to_numpy(zero_copy_only=False), len(qs))
-                ),
-                "cosine": pa.array(cos.ravel()),
-            }
-        )
+        keys = t[key_col].to_numpy(zero_copy_only=False)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        mat = _arrow_matrix(t["embedding"])[order]
+        ids = t["vec_id"].to_numpy(zero_copy_only=False)[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        out = [_empty_candidates()]
+        for a, b in zip(starts, np.r_[starts[1:], keys.size]):
+            qs = np.asarray(q_by_key.get(int(keys[a]), []), dtype=np.int64)
+            if not qs.size:
+                continue
+            cos = q_mat[qs] @ mat[a:b].T
+            out.append(
+                pa.table(
+                    {
+                        "query_id": pa.array(np.repeat(q_ids[qs], b - a)),
+                        "vec_id": pa.array(np.tile(ids[a:b], qs.size)),
+                        "cosine": pa.array(cos.ravel()),
+                        "part": pa.array(
+                            np.repeat(_query_parts(q_ids, q_ids[qs]), b - a)
+                        ),
+                    }
+                )
+            )
+        return pa.concat_tables(out)
 
     return score
 
@@ -259,7 +272,7 @@ def lsh_knn_cosine(
 
     Scale shape: the query buckets are computed FIRST and broadcast; the
     bucket+filter stage drops every non-candidate vector before the
-    ``groupby`` — the exchange moves only vectors sharing a bucket with
+    exchange on the bucket key — it moves only vectors sharing a bucket with
     some query (for Q queries and T tables, an expected T*Q/2^n_planes
     fraction of the table), not the whole embedding table. ``n_planes``
     should grow with the corpus (bucket occupancy ~ N/2^n_planes);
@@ -319,12 +332,10 @@ def lsh_knn_cosine(
         bucket_and_filter, batch_format="pyarrow", batch_size=None
     )
 
-    candidates = bucketed.groupby("bucket").map_groups(
-        _score_candidates_fn(ref, "bucket"), batch_format="pyarrow"
+    candidates = reduce_by_key(
+        bucketed, "bucket", _score_candidates_fn(ref, "bucket"), None, "pyarrow"
     )
-    return candidates.groupby("query_id").map_groups(
-        _merge_topk_dedup(k), batch_format="pandas"
-    )
+    return reduce_by_part(candidates, _merge_topk_dedup(k), len(q_ids), "pandas")
 
 
 def _pairs_empty() -> pd.DataFrame:
@@ -392,7 +403,7 @@ def embedding_cosine_dups(
     def _rep_empty() -> pa.Table:
         return pa.table(
             {
-                "pair_id": pa.array([], type=pa.int64()),
+                "part": pa.array([], type=pa.int32()),
                 "blk": pa.array([], type=pa.int64()),
                 "vec_id": pa.array([], type=pa.int64()),
                 "embedding": pa.array([], type=pa.large_list(pa.float64())),
@@ -403,7 +414,7 @@ def embedding_cosine_dups(
         # Arrow-native full-table stage: normalize once via one
         # flatten/reshape, then the B pair-group copies SHARE the
         # normalized values buffer (concat of zero-copy references —
-        # only the tiny pair_id column differs per copy)
+        # only the tiny part column, the pair id, differs per copy)
         n = batch.num_rows
         if n == 0:
             return _rep_empty()
@@ -420,7 +431,7 @@ def embedding_cosine_dups(
             tables.append(
                 pa.table(
                     {
-                        "pair_id": pa.array(i * B + j),
+                        "part": pa.array((i * B + j).astype(np.int32)),
                         "blk": blk_a,
                         "vec_id": ids_a,
                         "embedding": emb,
@@ -441,8 +452,7 @@ def embedding_cosine_dups(
     def score(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return _score_empty()
-        pid = int(g["pair_id"][0].as_py())
-        i, j = divmod(pid, B)
+        i, j = divmod(int(g["part"][0].as_py()), B)
         mat = _arrow_matrix(g["embedding"])
         ids = g["vec_id"].to_numpy(zero_copy_only=False)
         if i == j:
@@ -471,11 +481,8 @@ def embedding_cosine_dups(
             }
         )
 
-    return (
-        emb_ds.map_batches(replicate, batch_format="pyarrow", batch_size=None)
-        .groupby("pair_id")
-        .map_groups(score, batch_format="pyarrow")
-    )
+    replicated = emb_ds.map_batches(replicate, batch_format="pyarrow", batch_size=None)
+    return reduce_by_part(replicated, score, B * B, "pyarrow")
 
 
 def _embedding_cosine_dups_broadcast(
@@ -618,13 +625,13 @@ def semantic_dedup(
             return pa.table(
                 {
                     "vec_id": pa.array([], type=pa.int64()),
-                    "cell": pa.array([], type=pa.int64()),
+                    "part": pa.array([], type=pa.int32()),
                     "embedding": pa.array([], type=pa.large_list(pa.float64())),
                 }
             )
         c = ray.get(cents_ref)
         mat = _normalize(_arrow_matrix(batch["embedding"]))
-        cell = np.argmax(mat @ c.T, axis=1).astype(np.int64)
+        cell = np.argmax(mat @ c.T, axis=1).astype(np.int32)
         return pa.table(
             {
                 "vec_id": pa.array(
@@ -632,7 +639,7 @@ def semantic_dedup(
                     .to_numpy(zero_copy_only=False)
                     .astype(np.int64)
                 ),
-                "cell": pa.array(cell),
+                "part": pa.array(cell),  # the cell
                 "embedding": _norm_list_array(mat),
             }
         )
@@ -649,7 +656,7 @@ def semantic_dedup(
         if g.num_rows == 0:
             return empty
         ids = g["vec_id"].to_numpy(zero_copy_only=False)
-        cell = int(g["cell"][0].as_py())
+        cell = int(g["part"][0].as_py())
         order = np.argsort(ids)
         ids = ids[order]
         mat = _arrow_matrix(g["embedding"])[order]
@@ -681,11 +688,8 @@ def semantic_dedup(
             }
         )
 
-    return (
-        emb_ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
-        .groupby("cell")
-        .map_groups(prune, batch_format="pyarrow")
-    )
+    assigned = emb_ds.map_batches(assign, batch_format="pyarrow", batch_size=None)
+    return reduce_by_part(assigned, prune, len(cents), "pyarrow")
 
 
 def ivf_knn_cosine(
@@ -703,7 +707,7 @@ def ivf_knn_cosine(
 
     Scale shape mirrors the LSH path: the tiny centroid matrix is trained
     on a bounded sample and broadcast; the assign stage drops every vector
-    outside the queries' probed cells BEFORE the groupby, so the exchange
+    outside the queries' probed cells BEFORE the exchange on the cell, so it
     moves an expected nprobe/n_centroids fraction of the table. Cells are
     data-adaptive (unlike LSH hyperplanes), which is the standard recall
     advantage of IVF on clustered embeddings. The training sample is a
@@ -736,21 +740,21 @@ def ivf_knn_cosine(
             return pa.table(
                 {
                     "vec_id": pa.array([], type=pa.int64()),
-                    "cell": pa.array([], type=pa.int64()),
+                    "part": pa.array([], type=pa.int32()),
                     "embedding": pa.array([], type=pa.large_list(pa.float64())),
                 }
             )
         _, _, _, cents_w = ray.get(ref)
         want = ray.get(wanted_ref)
         mat = _normalize(_arrow_matrix(batch["embedding"]))
-        cell = np.argmax(mat @ cents_w.T, axis=1).astype(np.int64)
+        cell = np.argmax(mat @ cents_w.T, axis=1).astype(np.int32)
         sel = np.isin(cell, want)
         m = pa.array(sel)
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
                 "vec_id": pa.array(ids[sel]),
-                "cell": pa.array(cell[sel]),
+                "part": pa.array(cell[sel]),  # the cell
                 "embedding": _norm_list_array(mat).filter(m),
             }
         )
@@ -759,12 +763,10 @@ def ivf_knn_cosine(
         assign_and_filter, batch_format="pyarrow", batch_size=None
     )
 
-    candidates = assigned.groupby("cell").map_groups(
-        _score_candidates_fn(ref, "cell"), batch_format="pyarrow"
+    candidates = reduce_by_part(
+        assigned, _score_candidates_fn(ref, "part"), len(cents), "pyarrow"
     )
-    return candidates.groupby("query_id").map_groups(
-        _merge_topk_dedup(k), batch_format="pandas"
-    )
+    return reduce_by_part(candidates, _merge_topk_dedup(k), len(q_ids), "pandas")
 
 
 def group_centroid(emb_ds, *, key: str = "label", emb_col: str = "embedding"):

@@ -3,9 +3,10 @@
 HyperLogLog (Flajolet et al. 2007, with the standard small-range
 correction) as a distributed distinct-count: each block computes partial
 REGISTER MAXIMA vectorized (one polars hash + one ``np.maximum.reduceat``
-class of scatter per batch), partials merge by element-wise max through a
-``groupby().map_groups`` whose input is tiny (one register row per
-(group, block)), and the estimate is evaluated once per group. The
+class of scatter per batch), partials merge by element-wise max through
+one keyed exchange (``stages.exchange.reduce_by_key`` on the group) whose
+input is tiny (one register row per (group, block)), and the estimate is
+evaluated once per group. The
 register-max lattice is commutative/associative/idempotent, so the result
 is EXACTLY independent of partitioning, block order and retries — the
 property the tests pin.
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from ..stages.exchange import reduce_by_key
 
 _HLL_SEED = 77
 # Same sub-2^48 prime as the winnow / simhash oracles (2^48 - 59): every
@@ -283,16 +286,21 @@ def hll_distinct(
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=None)
 
-    def merge(grp: pd.DataFrame) -> pd.DataFrame:
+    def merge(part: pd.DataFrame) -> pd.DataFrame:
+        # every group of the part at once: one sort, one max per run
+        g = part["g"].to_numpy()
+        order = np.argsort(g, kind="stable")
+        g = g[order]
         mat = np.stack(
-            [np.frombuffer(b, dtype=np.uint8) for b in grp["regs"]]
+            [np.frombuffer(b, dtype=np.uint8) for b in part["regs"].to_numpy()[order]]
         )
-        est = _estimate(mat.max(axis=0))
+        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        regs = np.maximum.reduceat(mat, starts, axis=0)
         return pd.DataFrame(
-            {"g": [grp["g"].iloc[0]], "approx_distinct": [est]}
+            {"g": g[starts], "approx_distinct": [_estimate(r) for r in regs]}
         )
 
-    out = partials.groupby("g").map_groups(merge, batch_format="pandas")
+    out = reduce_by_key(partials, "g", merge, None, "pandas")
     if group_col is None:
         return out.map_batches(
             lambda b: b[["approx_distinct"]],

@@ -36,7 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.exchange import auto_shuffle_partitions, reduce_by_part
+from ..stages.exchange import auto_shuffle_partitions, hash_mod_part, reduce_by_part
 
 logger = logging.getLogger(__name__)
 
@@ -1003,26 +1003,6 @@ def _segment_pairs(starts: np.ndarray, sizes: np.ndarray):
     return starts[pg] + ii, starts[pg] + jj
 
 
-def _hash_mod_part(batch, cols, num_partitions: int):
-    """``batch`` (a pandas DataFrame or an Arrow table) with an int32
-    ``part`` column = polynomial mix of ``cols`` (viewed as uint64) mod
-    ``num_partitions`` — the one integer-key partitioner of every
-    pair-explosion stage."""
-    acc = np.zeros(len(batch), dtype=np.uint64)
-    for c in cols:
-        v = np.asarray(batch[c])
-        # 64-bit columns reinterpret (sign-preserving across engines is
-        # irrelevant here — any stable mix works); narrower ints upcast
-        v = v.view(np.uint64) if v.dtype.itemsize == 8 else v.astype(np.uint64)
-        acc = acc * _POLY + v
-    part = (acc % np.uint64(num_partitions)).astype(np.int32)
-    if isinstance(batch, pa.Table):
-        return batch.append_column("part", pa.array(part))
-    batch = batch.copy()
-    batch["part"] = part
-    return batch
-
-
 def _segment_bounds(*keys: np.ndarray):
     """Group ids / sizes / starts / within-group offsets for rows already
     sorted by ``keys`` (lexicographic). All vectorized."""
@@ -1202,7 +1182,7 @@ def _lsh_candidate_pairs(
     buckets = docs_ds.map_batches(
         explode_bands, batch_format="pyarrow", batch_size=None
     ).map_batches(
-        lambda b: _hash_mod_part(
+        lambda b: hash_mod_part(
             b, ["band_hash", "band"], num_partitions
         ),
         batch_format="pyarrow",
@@ -1362,7 +1342,7 @@ def _attach_pair_texts(
         )
 
     tagged = cand_texts.union(sides).map_batches(
-        lambda b: _hash_mod_part(b, ["doc_id"], num_partitions),
+        lambda b: hash_mod_part(b, ["doc_id"], num_partitions),
         batch_format="pyarrow",
         batch_size=None,
     )
@@ -1471,7 +1451,7 @@ def minhash_lsh_dups(
         )
 
     tagged = attached.map_batches(
-        lambda b: _hash_mod_part(b, ["doc_a", "doc_b"], num_partitions),
+        lambda b: hash_mod_part(b, ["doc_a", "doc_b"], num_partitions),
         batch_format="pandas",
         batch_size=None,
     )
@@ -1618,7 +1598,7 @@ def edit_distance_dups(
         )
 
     tagged = attached.map_batches(
-        lambda b: _hash_mod_part(b, ["doc_a", "doc_b"], num_partitions),
+        lambda b: hash_mod_part(b, ["doc_a", "doc_b"], num_partitions),
         batch_format="pandas",
         batch_size=None,
     )
@@ -1765,7 +1745,7 @@ def _ngram_counted_pairs(docs_ds, k: int, max_df: int):
     grams = docs_ds.map_batches(
         explode_grams, batch_format="pyarrow", batch_size=None
     ).map_batches(
-        lambda b: _hash_mod_part(b, ["gram"], num_partitions),
+        lambda b: hash_mod_part(b, ["gram"], num_partitions),
         batch_format="pyarrow",
         batch_size=None,
     )
@@ -2104,7 +2084,7 @@ def simhash_dups(
     rows = docs_ds.map_batches(
         explode, batch_format="pyarrow", batch_size=None
     ).map_batches(
-        lambda b: _hash_mod_part(
+        lambda b: hash_mod_part(
             b, ["band_val", "band"], num_partitions
         ),
         batch_format="pyarrow",

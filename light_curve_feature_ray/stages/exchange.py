@@ -26,7 +26,11 @@ column into ``part`` first): the contract of Ray Data's ``map_groups``
 over ``part``, on the same map tasks and ``route``, with contiguous parts
 packed into as few reduce tasks as the cluster's CPUs and
 :data:`PART_ROWS` allow. :func:`with_part` is the one partitioner of a
-string key outside the rollup's salted ``assign_parts``.
+string key outside the rollup's salted ``assign_parts`` (and of any key
+:func:`reduce_by_key` hashes), :func:`hash_mod_part` the one partitioner
+of the integer keys a step tags itself before :func:`reduce_by_part`; a
+small dense integer key (a range bucket, a cell, a query's position) is
+``part`` itself.
 :func:`cluster_cpus` is the one reader of the cluster's size.
 """
 
@@ -133,6 +137,31 @@ def with_part(table: pa.Table, key_col: str, num_parts: int) -> pa.Table:
         key = pc.cast(key, pa.string())
     part = (hash_strings(key) % np.uint64(num_parts)).astype(np.int32)
     return table.append_column("part", pa.array(part, type=pa.int32()))
+
+
+#: odd multiplier of :func:`hash_mod_part`'s polynomial mix
+_MIX = np.uint64(0x100000001B3)
+
+
+def hash_mod_part(batch, cols, num_parts: int):
+    """``batch`` (a pandas DataFrame or an Arrow table) with an int32
+    ``part`` column = polynomial mix of the integer ``cols`` (viewed as
+    uint64) modulo ``num_parts``: the one partitioner of the integer keys
+    a step tags itself. For one column the mix is the key itself, so
+    ``part`` is ``key.view(uint64) % num_parts``."""
+    acc = np.zeros(len(batch), dtype=np.uint64)
+    for c in cols:
+        v = np.asarray(batch[c])
+        # 64-bit columns reinterpret (sign-preserving across engines is
+        # irrelevant here — any stable mix works); narrower ints upcast
+        v = v.view(np.uint64) if v.dtype.itemsize == 8 else v.astype(np.uint64)
+        acc = acc * _MIX + v
+    part = (acc % np.uint64(num_parts)).astype(np.int32)
+    if isinstance(batch, pa.Table):
+        return batch.append_column("part", pa.array(part))
+    batch = batch.copy()
+    batch["part"] = part
+    return batch
 
 
 def reduce_by_key(ds, key_col: str, fn, num_parts: int | None, batch_format: str):

@@ -501,9 +501,10 @@ def test_job_runs_without_ray_data(ray_session, tmp_path, monkeypatch):
 
 
 def test_package_has_one_exchange():
-    """Every exchange on ``part`` goes through stages/exchange.py: no
-    module of the package runs Ray Data's sort-based groupby on it or
-    packs rows into Arrow IPC streams of its own, and the string hash is
+    """Every keyed exchange goes through stages/exchange.py: no module of
+    the package runs Ray Data's sort-based ``groupby(...).map_groups`` (on
+    ``part`` or any other key), packs rows into Arrow IPC streams of its
+    own, or hashes a key with pandas' ``hash_array``. The string hash is
     called only by the rollup's salted assignment (stages/rollup.py),
     ``with_part`` (stages/exchange.py) and the update's routing of a
     dictionary (pipelines/update.py): every other string key takes its
@@ -517,6 +518,8 @@ def test_package_has_one_exchange():
         for path in sorted(root.rglob("*.py"))
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if 'groupby("part")' in line
+        or ".map_groups(" in line
+        or "hash_array(" in line
         or "ipc.new_stream" in line
         or ("hash_strings(" in line and path.relative_to(root).as_posix() not in hashers)
     ]

@@ -1,6 +1,6 @@
 """``stages.exchange.reduce_by_part``: Ray Data's ``map_groups`` contract
 over ``part`` on the routed exchange, with parts packed into reduce
-tasks; and ``with_part``'s input check."""
+tasks; ``with_part``'s input check; and ``hash_mod_part``'s spelling."""
 
 import numpy as np
 import pandas as pd
@@ -11,6 +11,7 @@ import ray.data as rd
 from light_curve_feature_ray.stages.exchange import (
     PART_ROWS,
     _pack,
+    hash_mod_part,
     reduce_by_part,
     with_part,
 )
@@ -146,3 +147,34 @@ def test_keyed_operator_refuses_nan_float_key(ray_session):
     )
     with pytest.raises(ValueError, match="key column 'user_id' holds NaN"):
         rolling_agg(rd.from_arrow(bad), k=2)
+
+
+def test_integer_parts_keep_the_view_mod_spelling(ray_session, monkeypatch):
+    """On one int64 column ``hash_mod_part`` is ``key.view(uint64) % P``,
+    the spelling graph.py wrote inline before it called the shared
+    partitioner: pinned on negative keys, for both batch types and on the
+    edges triangle_counts routes."""
+    from light_curve_feature_ray.pipelines import graph
+
+    key = np.array([-(2**63), -7, -1, 0, 1, 5, 2**62 + 3, 2**63 - 1], np.int64)
+    old = (key.view(np.uint64) % np.uint64(7)).astype(np.int32)
+    for batch in (pd.DataFrame({"key": key}), pa.table({"key": key})):
+        got = np.asarray(hash_mod_part(batch, ["key"], 7)["part"])
+        np.testing.assert_array_equal(got, old)
+
+    routed, real = [], graph.reduce_by_part
+
+    def spy(ds, fn, num_parts, batch_format):
+        routed.append((ds.to_pandas(), num_parts))
+        return real(ds, fn, num_parts, batch_format)
+
+    monkeypatch.setattr(graph, "reduce_by_part", spy)
+    pairs = pd.DataFrame({"doc_a": [-3, -3, 2, -9, 4], "doc_b": [2, 5, 5, -3, -9]})
+    graph.triangle_counts(rd.from_pandas(pairs), num_partitions=5)
+    edges, num_parts = routed[0]
+    assert num_parts == 5 and len(edges) == 5
+    u = edges["u"].to_numpy(np.int64)
+    assert (u < 0).any()
+    np.testing.assert_array_equal(
+        edges["part"].to_numpy(), (u.view(np.uint64) % np.uint64(5)).astype(np.int32)
+    )

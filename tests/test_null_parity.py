@@ -383,6 +383,95 @@ def test_null_key_rows_dropped_both_sides(ray_session, entry_mod):
     _cmp_float(_round6(c["corr"]), want4["corr"])
 
 
+def test_null_key_rows_dropped_by_keyed_exchange_ops(ray_session, entry_mod):
+    """NULL-KEY rows drop in the operators whose drop runs inside their
+    keyed exchange (top_k_per_group, grouped_quantile_cont/_disc,
+    grouped_mad, table_diff), as the twins' ``key IS NOT NULL`` does."""
+    import ray.data as rd
+
+    from light_curve_feature_ray.pipelines.joins import table_diff
+    from light_curve_feature_ray.pipelines.quantiles import (
+        grouped_mad,
+        grouped_quantile_cont,
+        grouped_quantile_disc,
+        mad_outliers,
+    )
+    from light_curve_feature_ray.pipelines.sampling import top_k_per_group
+
+    df = pd.DataFrame(
+        {
+            "event_id": np.arange(8, dtype=np.int64),
+            "user_id": pd.array([1, 1, None, 2, 2, None, 1, 2], dtype="Int64"),
+            "event_type": ["a", "a", "a", None, "b", "b", "b", None],
+            "value": [1.0, 2.0, 99.0, 4.0, 5.0, 88.0, 3.0, 6.0],
+        }
+    )
+    ds = rd.from_pandas(df).repartition(3)
+    con = duckdb.connect()
+    con.register("events", df)
+
+    got = top_k_per_group(
+        ds, group_col="event_type", score_col="value", k=2, tiebreak_col="event_id"
+    ).to_pandas()
+    want = con.execute(
+        """SELECT event_type, rk, event_id FROM (
+               SELECT event_type, event_id, row_number() OVER (
+                   PARTITION BY event_type ORDER BY value DESC, event_id) AS rk
+               FROM events WHERE event_type IS NOT NULL) WHERE rk <= 2"""
+    ).df()
+    cols = ["event_type", "rk", "event_id"]
+    assert sorted(map(tuple, got[cols].values.tolist())) == sorted(
+        map(tuple, want[cols].values.tolist())
+    )
+    assert len(got) == 4
+
+    qs = entry_mod.QUANTILE_QS
+    for op, sql in (
+        (grouped_quantile_cont, entry_mod.SQL_EVENTS_TYPE_QUANTILES),
+        (grouped_quantile_disc, entry_mod.SQL_EVENTS_DISC_QUANTILES),
+    ):
+        got = op(ds, "event_type", "value", qs).to_pandas()
+        got = got.sort_values(["event_type", "q"]).reset_index(drop=True)
+        want = con.execute(sql).df().sort_values(["event_type", "q"])
+        assert sorted(got["event_type"].unique()) == ["a", "b"]
+        assert list(got["event_type"]) == list(want["event_type"])
+        _cmp_float(_round6(got["value"]), want["value"].to_numpy())
+
+    stats = grouped_mad(ds, "user_id", "value").to_pandas().sort_values("user_id")
+    assert list(stats["user_id"]) == [1, 2]
+    got = mad_outliers(ds, "user_id", "value", thresh=2.5).to_pandas()
+    got = got.sort_values("event_id").reset_index(drop=True)
+    want = con.execute(entry_mod.SQL_EVENTS_MAD_OUTLIERS).df().sort_values("event_id")
+    assert list(got["event_id"]) == list(want["event_id"]) == [0, 1, 3, 4, 6, 7]
+    assert list(got["is_outlier"]) == list(want["is_outlier"])
+    _cmp_float(_round6(got["dev"]), want["dev"].to_numpy())
+
+    left = pd.DataFrame(
+        {"k": pd.array([1, None, 2, 3, None], dtype="Int64"), "x": [1.0, 5.0, 2.0, 3.0, 6.0]}
+    )
+    right = pd.DataFrame(
+        {"k": pd.array([1, None, 3, 4], dtype="Int64"), "x": [1.0, 7.0, 30.0, 4.0]}
+    )
+    con.register("lt", left)
+    con.register("rt", right)
+    got = table_diff(
+        rd.from_pandas(left), rd.from_pandas(right), key_col="k", compare_cols=["x"]
+    ).to_pandas()
+    want = con.execute(
+        """WITH l AS (SELECT k, x FROM lt WHERE k IS NOT NULL),
+                r AS (SELECT k, x FROM rt WHERE k IS NOT NULL)
+           SELECT coalesce(l.k, r.k) AS k,
+                  CASE WHEN l.k IS NULL THEN 'added'
+                       WHEN r.k IS NULL THEN 'removed'
+                       ELSE 'changed' END AS status
+           FROM l FULL OUTER JOIN r ON l.k = r.k
+           WHERE l.k IS NULL OR r.k IS NULL OR l.x IS DISTINCT FROM r.x"""
+    ).df()
+    pairs = sorted(zip(got["k"].astype(int), got["status"]))
+    assert pairs == sorted(zip(want["k"].astype(int), want["status"]))
+    assert pairs == [(2, "removed"), (3, "changed"), (4, "added")]
+
+
 def test_rolling_zscore_constant_window(ray_session):
     import ray.data as rd
 

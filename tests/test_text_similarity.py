@@ -578,6 +578,79 @@ def test_knn_ivf_recall(emb_ds):
         assert g.iloc[0]["vec_id"] == q and abs(g.iloc[0]["cosine"] - 1) < 1e-9
 
 
+def _canonical(ds) -> pd.DataFrame:
+    """Rows sorted by their non-float columns (a cosine may move by an ulp
+    with the rows beside it in a matmul, so it must not order rows)."""
+    df = ds.to_pandas()
+    keys = sorted(c for c in df.columns if df[c].dtype.kind != "f")
+    df = df[keys + sorted(set(df.columns) - set(keys))]
+    return df.sort_values(keys).reset_index(drop=True)
+
+
+def test_approximate_paths_identical_on_one_and_many_blocks(emb_ds):
+    """The LSH, IVF and semantic-dedup exchanges drop or duplicate no
+    candidate: the output on one block equals the output on many blocks
+    holding the rows in another order (ids, ranks and flags exactly;
+    cosines to an ulp, as a matmul over the rows in another order gives)."""
+    import ray.data as rd
+
+    from light_curve_feature_ray.pipelines.similarity import (
+        ivf_knn_cosine,
+        lsh_knn_cosine,
+        semantic_dedup,
+    )
+
+    ds, _ = emb_ds
+    df = ds.to_pandas()
+    one = rd.from_pandas(df).repartition(1)
+    many = rd.from_pandas(df.sample(frac=1.0, random_state=7)).repartition(9)
+    ops = {
+        "lsh": lambda d: lsh_knn_cosine(d, n_queries=7, k=5, n_planes=4, n_tables=3),
+        "ivf": lambda d: ivf_knn_cosine(d, n_queries=7, k=5, n_centroids=8, nprobe=3),
+        "semantic": lambda d: semantic_dedup(d, threshold=0.5, n_centroids=8),
+    }
+    for name, op in ops.items():
+        got, want = _canonical(op(many)), _canonical(op(one))
+        assert len(want), name
+        pd.testing.assert_frame_equal(got, want, rtol=1e-12, obj=name)
+
+
+def test_ivf_knn_equals_numpy_over_probed_cells(emb_ds):
+    """ivf_knn_cosine is an exact top-k over the members of each query's
+    ``nprobe`` nearest cells, with the centroids the operator trains
+    (``_train_rows`` + ``_kmeans_cosine``)."""
+    from light_curve_feature_ray.pipelines.similarity import (
+        _kmeans_cosine,
+        _normalize,
+        _to_matrix,
+        _train_rows,
+        ivf_knn_cosine,
+    )
+
+    ds, vecs = emb_ds
+    n_queries, k, n_centroids, nprobe, seed = 6, 7, 8, 3, 5
+    out = ivf_knn_cosine(
+        ds, n_queries=n_queries, k=k, n_centroids=n_centroids, nprobe=nprobe,
+        seed=seed,
+    ).to_pandas()
+    train = _train_rows(ds, 2048, seed)
+    cents = _kmeans_cosine(
+        _normalize(_to_matrix(train["embedding"])), n_centroids, seed=seed
+    )
+    v = _normalize(vecs.astype(np.float64))
+    cell = np.argmax(v @ cents.T, axis=1)
+    probe = np.argsort(-(v[:n_queries] @ cents.T), axis=1)[:, :nprobe]
+    assert sorted(out["query_id"].unique()) == list(range(n_queries))
+    for q in range(n_queries):
+        members = np.flatnonzero(np.isin(cell, probe[q]))
+        cos = v[members] @ v[q]
+        order = np.lexsort((members, -cos))[:k]
+        got = out[out["query_id"] == q].sort_values("rank")
+        np.testing.assert_array_equal(got["rank"], np.arange(1, order.size + 1))
+        np.testing.assert_array_equal(got["vec_id"], members[order])
+        np.testing.assert_allclose(got["cosine"], cos[order], rtol=1e-12)
+
+
 def test_redact(ray_session):
     import ray.data as rd
 
